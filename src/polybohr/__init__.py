@@ -48,7 +48,6 @@ from .radii import (
     limit_sweep_m,
     limit_sweep_N,
     min_positive_root,
-    poly_eval,
     solve,
 )
 from .report import EvalReport, Verdict
@@ -61,7 +60,6 @@ from .series import (
     enumerate_multiindices,
     euler_derivative,
     eval_series,
-    eval_series_with_tail,
     inf_norm,
     majorant_block_sums,
     majorant_sum,
@@ -77,7 +75,6 @@ from .verify import (
     check_holds_below,
     check_sharpness_above,
     euler_closed_form_check,
-    family_functional,
 )
 
 __version__ = "0.1.0"

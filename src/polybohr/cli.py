@@ -9,12 +9,13 @@ Every command writes a single structured record (JSON, LF line endings) with
 tables stream CSV with ``--format csv``.  Floats are serialized with 17
 significant digits so binary64 values round-trip exactly.  Exit status: 0 on
 success, 1 when a verification suite fails or a solver finds no root, 2 on
-usage errors.  ``POLYBOHR_THREADS`` caps suite parallelism.
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any, Sequence
@@ -22,16 +23,11 @@ from typing import Any, Sequence
 from .families import ExtremalSpec, extremal_series, sample_bounded_function
 from .radii import (
     AN,
+    FAMILIES,
     AreaT,
-    Classical,
     ConvexMNT,
-    ConvexT,
-    EulerLambda,
     NoSignChangeError,
     RadiusFamily,
-    RmN,
-    RmnN,
-    RogosinskiUni,
     limit_sweep_m,
     limit_sweep_N,
     solve,
@@ -101,56 +97,23 @@ def _emit_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
     sys.stdout.write("\n".join(out) + "\n")
 
 
-FAMILY_CHOICES = ("classical", "rogosinski", "rmn", "rmnn", "an", "convext",
-                  "convexmnt", "euler", "area")
-
-
 def _build_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RadiusFamily:
-    name = args.family.lower()
-    try:
-        if name == "classical":
-            return Classical(n=args.n)
-        if name == "rogosinski":
-            _need(parser, args, "N")
-            return RogosinskiUni(N=args.N, p=args.p)
-        if name == "rmn":
-            _need(parser, args, "m", "N")
-            return RmN(m=args.m, N=args.N)
-        if name == "rmnn":
-            _need(parser, args, "m", "N")
-            return RmnN(m=args.m, n=args.n, N=args.N)
-        if name == "an":
-            _need(parser, args, "N")
-            return AN(n=args.n, N=args.N)
-        if name == "convext":
-            _need(parser, args, "t")
-            return ConvexT(t=args.t)
-        if name == "convexmnt":
-            _need(parser, args, "m", "t")
-            return ConvexMNT(m=args.m, n=args.n, t=args.t)
-        if name == "euler":
-            _need(parser, args, "lam")
-            return EulerLambda(n=args.n, lam=args.lam)
-        if name == "area":
-            _need(parser, args, "t")
-            return AreaT(n=args.n, t=args.t)
-    except ValueError as exc:
-        parser.error(str(exc))
-    parser.error(f"unknown family {args.family!r}")
-    raise AssertionError  # parser.error never returns
-
-
-def _need(parser: argparse.ArgumentParser, args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            flag = "--lambda" if name == "lam" else f"--{name}"
+    """The family named by --family, its fields read from the flags of the
+    same names; a field whose flag has no default must be given."""
+    cls = FAMILIES[args.family]
+    values = {}
+    for f in dataclasses.fields(cls):
+        values[f.name] = getattr(args, f.name)
+        if values[f.name] is None:
+            flag = "--lambda" if f.name == "lam" else f"--{f.name}"
             parser.error(f"family {args.family!r} requires {flag}")
+    return cls(**values)
 
 
 def _family_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", required=True,
                      type=lambda s: s.lower(),
-                     choices=FAMILY_CHOICES,
+                     choices=tuple(FAMILIES),
                      help="radius family (case-insensitive)")
     sub.add_argument("--n", type=int, default=1, help="polydisc dimension")
     sub.add_argument("--m", type=int, default=None, help="composition order")
@@ -162,14 +125,14 @@ def _family_flags(sub: argparse.ArgumentParser) -> None:
                      help="tail weight for the euler family")
 
 
-def _echo_family_args(args: argparse.Namespace) -> dict:
+def _echo_family_args(args: argparse.Namespace, family: RadiusFamily) -> dict:
     echo: dict[str, Any] = {"family": args.family, "n": args.n}
     for key in ("m", "N", "t", "lam"):
         val = getattr(args, key)
         if val is not None:
             echo["lambda" if key == "lam" else key] = val
-    if args.family == "rogosinski":
-        echo["p"] = args.p
+    if hasattr(family, "p"):
+        echo["p"] = family.p
     return echo
 
 
@@ -188,7 +151,7 @@ def _result_payload(res) -> dict:
 def cmd_radius(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family = _build_family(parser, args)
     res = solve(family)
-    _emit_record("radius", _echo_family_args(args), _result_payload(res))
+    _emit_record("radius", _echo_family_args(args, family), _result_payload(res))
     return 0
 
 
@@ -199,6 +162,14 @@ def _parse_int_list(raw: str) -> list[int]:
 def _table_rows(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
     name = args.name
+    if args.t_steps < 1:
+        parser.error(f"--t-steps must be >= 1, got {args.t_steps}")
+    if args.N_max < 1:
+        parser.error(f"--N-max must be >= 1, got {args.N_max}")
+    # Absent --m and --N default to 1; a given value, 0 included, is kept
+    # for the family to validate.
+    m = 1 if args.m is None else args.m
+    N = 1 if args.N is None else args.N
     if name == "thmC-limits":
         columns = ["N", "limit_x", "residual"]
         rows = []
@@ -208,14 +179,14 @@ def _table_rows(parser: argparse.ArgumentParser,
         return columns, rows
     if name == "thm2.2-sweepN":
         columns = ["N", "radius_r", "radius_x", "residual"]
-        sweep = limit_sweep_N(args.m or 1, args.n, list(range(1, args.N_max + 1)))
+        sweep = limit_sweep_N(m, args.n, list(range(1, args.N_max + 1)))
         return columns, [[res.family.N, res.radius_r, res.radius_x, res.residual]
                          for res in sweep]
     if name == "thm2.2-sweepM":
         columns = ["m", "radius_r", "radius_x", "limit_x", "gap_x"]
-        target = solve(AN(n=args.n, N=args.N or 1)).radius_x
+        target = solve(AN(n=args.n, N=N)).radius_x
         m_list = _parse_int_list(args.m_list)
-        sweep = limit_sweep_m(args.n, args.N or 1, m_list)
+        sweep = limit_sweep_m(args.n, N, m_list)
         return columns, [[res.family.m, res.radius_r, res.radius_x, target,
                           target - res.radius_x] for res in sweep]
     if name == "thmF-piecewise":
@@ -235,7 +206,7 @@ def _table_rows(parser: argparse.ArgumentParser,
         for i in range(steps + 1):
             t = i / steps
             try:
-                res = solve(ConvexMNT(m=args.m or 1, n=args.n, t=t))
+                res = solve(ConvexMNT(m=m, n=args.n, t=t))
                 rows.append([t, res.radius_r, res.radius_x, res.multiplicity_note])
             except NoSignChangeError as exc:
                 rows.append([t, "", "", f"no root: {exc}"])
@@ -283,9 +254,6 @@ def _suite_payload(report: SuiteReport) -> dict:
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace,
                force_sharpness: bool = False) -> int:
     family = _build_family(parser, args)
-    if args.family == "an":
-        parser.error("the large-m limit family has no functional to verify; "
-                     "use radius or limits")
     config = SuiteConfig(
         family=family,
         samples=args.samples,
@@ -302,7 +270,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace,
     else:
         reports.append(check_holds_below(config))
         reports.append(check_sharpness_above(config))
-    echo = _echo_family_args(args)
+    echo = _echo_family_args(args, family)
     echo.update({"samples": args.samples, "seed": args.seed,
                  "factors": args.factors, "k_cap": args.k_cap,
                  "margin_below": args.margin_below,

@@ -1,28 +1,40 @@
-"""Closed forms and bracketed root finding for every sharp-radius equation.
+"""Radius families: closed forms and bracketed root finding for every
+sharp-radius equation, and the functional each equation is sharp for.
 
-Each radius family carries its defining polynomial and the bracket on which
-the underlying monotonicity argument guarantees a sign change.  Bisection is
-used throughout: the equations are low-degree with proof-supplied brackets,
-so robustness beats iteration speed.  Results report the root both as the
-equal polyradius r and as x = n r, which neutralises the scaling ambiguity
-between the two conventions.
-
-Solve variables by family (the argument of ``poly``):
-
-* ``Classical``, ``AN``, ``ConvexMNT``, ``EulerLambda``, ``AreaT``: x = n r,
-* ``RogosinskiUni``, ``RmN``, ``RmnN``, ``ConvexT``: the radius r itself.
+Each family class carries its defining polynomial, its solve variable, the
+bracket on which the underlying monotonicity argument guarantees a sign
+change, and its functional at the designated evaluation point, so adding a
+family means adding one class.  Bisection is used throughout: the equations
+are low-degree with proof-supplied brackets, so robustness beats iteration
+speed.  Results report the root both as the equal polyradius r and as
+x = n r, which neutralises the scaling ambiguity between the two
+conventions.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, ClassVar
+
+from .families import schwarz_power_map
+from .functionals import (
+    FromDegree,
+    MultiplesOf,
+    functional_A,
+    functional_B,
+    functional_C,
+    functional_D,
+    functional_E,
+    functional_rogosinski_uni,
+)
+from .report import EvalReport
+from .series import Point, TruncatedSeries
 
 BISECTION_TOL = 1e-14
 BISECTION_MAX_ITER = 60
 MIN_ROOT_GRID = 10_000
-RESIDUAL_GATE = 1e-12
 
 
 class NoSignChangeError(ValueError):
@@ -98,12 +110,74 @@ def min_positive_root(g: Callable[[float], float], hi: float,
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 
+# Every radius family by its ``--family`` name, in definition order; a
+# subclass of RadiusFamily registers itself here.
+FAMILIES: dict[str, type[RadiusFamily]] = {}
+
 
 @dataclass(frozen=True)
-class Classical:
+class RadiusResult:
+    family: RadiusFamily
+    radius_r: float
+    radius_x: float
+    residual: float
+    bracket: tuple[float, float]
+    multiplicity_note: str = ""
+
+
+class RadiusFamily:
+    """One sharp inequality: its radius equation and its functional.
+
+    Subclasses are frozen dataclasses whose fields are the family's
+    parameters, named as the CLI flags that set them (``lam`` is
+    ``--lambda``).  Each defines ``name``, its ``--family`` name, and
+    ``poly(v)``, the defining polynomial in the solve variable ``solve_var``
+    (``"r"`` or ``"x"`` = n r).  The radius is the root of ``poly`` on
+    (0, ``bracket_hi``]: the unique one, or the minimum positive one when
+    ``min_root`` is set, unless ``closed_form`` gives the result directly.
+    ``functional`` evaluates the family's functional at its designated point.
+    """
+
+    name: ClassVar[str]
+    solve_var: ClassVar[str] = "x"
+    bracket_hi: ClassVar[float] = 1.0
+    min_root: ClassVar[bool] = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        FAMILIES[cls.name] = cls
+
+    @property
+    def dim(self) -> int:
+        """The polydisc dimension the family's functional acts on."""
+        return getattr(self, "n", 1)
+
+    def closed_form(self) -> RadiusResult | None:
+        return None
+
+    def functional(self, f: TruncatedSeries, r: float,
+                   sharpness: bool = False) -> EvalReport:
+        """The family's functional on f at equal polyradius r, at the
+        designated evaluation point; ``sharpness`` selects the tail form the
+        sharpness-above suite uses where the two differ."""
+        raise NotImplementedError
+
+
+def branch_diagonal(n: int, m: int, r: float) -> Point:
+    """The designated composition point: every coordinate equals
+    r * exp(i pi (2m-1)/m); m = 1 gives the real diagonal (-r, ..., -r)."""
+    c = cmath.exp(1j * math.pi * (2 * m - 1) / m)
+    if m == 1:
+        c = -1.0 + 0.0j  # exact real value, no rounding in the phase
+    return (c * r,) * n
+
+
+@dataclass(frozen=True)
+class Classical(RadiusFamily):
     """Plain majorant threshold; the radius is 1/(3n) in closed form."""
 
     n: int
+    name = "classical"
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -112,13 +186,23 @@ class Classical:
     def poly(self, x: float) -> float:
         return 3.0 * x - 1.0
 
+    def closed_form(self) -> RadiusResult:
+        r = 1.0 / (3.0 * self.n)
+        return RadiusResult(self, r, self.n * r, abs(self.poly(self.n * r)),
+                            (0.0, r), "closed form")
+
+    def functional(self, f, r, sharpness=False):
+        return functional_A(f, r)
+
 
 @dataclass(frozen=True)
-class RogosinskiUni:
+class RogosinskiUni(RadiusFamily):
     """Univariate |f(z)|^p head with a degree >= N majorant tail."""
 
     N: int
     p: int = 1
+    name = "rogosinski"
+    solve_var = "r"
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -130,13 +214,18 @@ class RogosinskiUni:
         head = 2.0 if self.p == 1 else 1.0
         return head * (1.0 + r) * r ** self.N - (1.0 - r * r)
 
+    def functional(self, f, r, sharpness=False):
+        return functional_rogosinski_uni(f, (-r + 0.0j,), self.N, self.p)
+
 
 @dataclass(frozen=True)
-class RmN:
+class RmN(RadiusFamily):
     """Univariate composition head |f(z^m)| with a degree >= N tail."""
 
     m: int
     N: int
+    name = "rmn"
+    solve_var = "r"
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.N < 1:
@@ -145,31 +234,47 @@ class RmN:
     def poly(self, r: float) -> float:
         return 2.0 * r ** self.N * (1.0 + r ** self.m) - (1.0 - r) * (1.0 - r ** self.m)
 
+    def functional(self, f, r, sharpness=False):
+        return functional_B(f, schwarz_power_map(1, self.m),
+                            branch_diagonal(1, self.m, r), FromDegree(self.N), p=1)
+
 
 @dataclass(frozen=True)
-class RmnN:
+class RmnN(RadiusFamily):
     """Polydisc composition head with the multiples-of-N majorant tail."""
 
     m: int
     n: int
     N: int
+    name = "rmnn"
+    solve_var = "r"
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1 or self.N < 1:
             raise ValueError(
                 f"m, n, N must be >= 1, got m={self.m}, n={self.n}, N={self.N}")
 
+    @property
+    def bracket_hi(self) -> float:
+        return 1.0 / self.n
+
     def poly(self, r: float) -> float:
         nr = self.n * r
         return 2.0 * nr ** self.N * (1.0 + r ** self.m) - (1.0 - nr) * (1.0 - r ** self.m)
 
+    def functional(self, f, r, sharpness=False):
+        mode = FromDegree(self.N) if sharpness else MultiplesOf(self.N)
+        return functional_B(f, schwarz_power_map(self.n, self.m),
+                            branch_diagonal(self.n, self.m, r), mode, p=1)
+
 
 @dataclass(frozen=True)
-class AN:
+class AN(RadiusFamily):
     """Large-m limit family: 2 x^N = 1 - x in x = n r."""
 
     n: int
     N: int
+    name = "an"
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.N < 1:
@@ -178,9 +283,13 @@ class AN:
     def poly(self, x: float) -> float:
         return 2.0 * x ** self.N + x - 1.0
 
+    def functional(self, f, r, sharpness=False):
+        raise ValueError("the large-m limit family has no functional to verify; "
+                         "use radius or limits")
+
 
 @dataclass(frozen=True)
-class ConvexT:
+class ConvexT(RadiusFamily):
     """Univariate convex combination t |f(z)| + (1-t) majorant.
 
     Closed form (1 - 2 sqrt(1-t)) / (4t - 3) away from t = 3/4, where the
@@ -188,6 +297,8 @@ class ConvexT:
     """
 
     t: float
+    name = "convext"
+    solve_var = "r"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.t <= 1.0:
@@ -196,16 +307,22 @@ class ConvexT:
     def poly(self, r: float) -> float:
         return (4.0 * self.t - 3.0) * r * r - 2.0 * r + 1.0
 
-    def closed_form(self) -> float:
+    def closed_form(self) -> RadiusResult:
         # Guard band around the removable singularity at t = 3/4 avoids the
-        # 0/0 cancellation.
+        # 0/0 cancellation; its value 1/2 is the root of the limiting
+        # quadratic -2r + 1.
         if abs(self.t - 0.75) < 1e-10:
-            return 0.5
-        return (1.0 - 2.0 * math.sqrt(1.0 - self.t)) / (4.0 * self.t - 3.0)
+            return RadiusResult(self, 0.5, 0.5, 0.0, (0.0, 0.5),
+                                "closed form (guard band at t = 3/4)")
+        r = (1.0 - 2.0 * math.sqrt(1.0 - self.t)) / (4.0 * self.t - 3.0)
+        return RadiusResult(self, r, r, abs(self.poly(r)), (0.0, r), "closed form")
+
+    def functional(self, f, r, sharpness=False):
+        return functional_C(f, schwarz_power_map(1, 1), (-r + 0.0j,), self.t)
 
 
 @dataclass(frozen=True)
-class ConvexMNT:
+class ConvexMNT(RadiusFamily):
     """Polydisc convex combination with a composition head of order m; the
     radius is the minimum positive root of the degree m+1 polynomial in
     x = n r."""
@@ -213,6 +330,8 @@ class ConvexMNT:
     m: int
     n: int
     t: float
+    name = "convexmnt"
+    min_root = True
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -227,19 +346,27 @@ class ConvexMNT:
                 + (2.0 * t - 3.0) * scale * x
                 + scale)
 
+    def functional(self, f, r, sharpness=False):
+        return functional_C(f, schwarz_power_map(self.n, self.m),
+                            branch_diagonal(self.n, self.m, r), self.t)
+
 
 @dataclass(frozen=True)
-class EulerLambda:
+class EulerLambda(RadiusFamily):
     """Radial-derivative functional; quartic in x = n r on (0, sqrt(2)-1)."""
 
     n: int
     lam: float
+    name = "euler"
+    bracket_hi = SQRT2_MINUS_1
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
+        if math.isinf(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
 
     def poly(self, x: float) -> float:
         if self.lam > 0.5:
@@ -248,14 +375,19 @@ class EulerLambda:
                      + (2.0 * lam - 1.0)) * x + 3.0) * x - 1.0
         return ((x + 1.0) * x * x + 3.0) * x - 1.0
 
+    def functional(self, f, r, sharpness=False):
+        return functional_D(f, (-r + 0.0j,) * self.n, self.lam)
+
 
 @dataclass(frozen=True)
-class AreaT:
+class AreaT(RadiusFamily):
     """Majorant plus image-area combination; cubic in x = n r for
     t < 9/17, constant 1/3 beyond."""
 
     n: int
     t: float
+    name = "area"
+    bracket_hi = 1.0 / 3.0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -267,89 +399,33 @@ class AreaT:
         t = self.t
         return ((t * x + t) * x + (4.0 - 5.0 * t)) * x - t
 
+    def closed_form(self) -> RadiusResult | None:
+        if self.t < 9.0 / 17.0:
+            return None
+        # Clamped branch: the radius is 1/3 by definition, not a root of the
+        # cubic (which is nonnegative on (0, 1/3] here).
+        x = 1.0 / 3.0
+        return RadiusResult(self, x / self.n, x, 0.0, (0.0, x),
+                            "closed form (clamped branch)")
 
-RadiusFamily = Union[Classical, RogosinskiUni, RmN, RmnN, AN, ConvexT,
-                     ConvexMNT, EulerLambda, AreaT]
-
-
-@dataclass(frozen=True)
-class RadiusResult:
-    family: RadiusFamily
-    radius_r: float
-    radius_x: float
-    residual: float
-    bracket: tuple[float, float]
-    multiplicity_note: str = ""
-
-
-def poly_eval(family: RadiusFamily, x: float) -> float:
-    """The family's defining polynomial at x (in the family's solve
-    variable; see the module docstring)."""
-    return family.poly(x)
-
-
-def family_dim(family: RadiusFamily) -> int:
-    """The polydisc dimension the family's functional acts on."""
-    return getattr(family, "n", 1)
+    def functional(self, f, r, sharpness=False):
+        return functional_E(f, r, self.t)
 
 
 def solve(family: RadiusFamily) -> RadiusResult:
-    """The radius of the family: closed form where one exists, otherwise the
-    unique (or minimum positive) root on the proof-supplied bracket."""
-    if isinstance(family, Classical):
-        r = 1.0 / (3.0 * family.n)
-        return RadiusResult(family, r, family.n * r,
-                            abs(family.poly(family.n * r)), (0.0, r),
-                            "closed form")
-    if isinstance(family, RogosinskiUni):
-        root, lo, hi = bracketed_bisection(family.poly, 0.0, 1.0)
-        return _result_r(family, root, lo, hi, n=1)
-    if isinstance(family, RmN):
-        root, lo, hi = bracketed_bisection(family.poly, 0.0, 1.0)
-        return _result_r(family, root, lo, hi, n=1)
-    if isinstance(family, RmnN):
-        root, lo, hi = bracketed_bisection(family.poly, 0.0, 1.0 / family.n)
-        return _result_r(family, root, lo, hi, n=family.n)
-    if isinstance(family, AN):
-        root, lo, hi = bracketed_bisection(family.poly, 0.0, 1.0)
-        return _result_x(family, root, lo, hi, n=family.n)
-    if isinstance(family, ConvexT):
-        r = family.closed_form()
-        if abs(family.t - 0.75) < 1e-10:
-            # Inside the guard band the reported root is the removable value,
-            # a root of the limiting quadratic -2r + 1.
-            return RadiusResult(family, r, r, abs(-2.0 * r + 1.0), (0.0, r),
-                                "closed form (guard band at t = 3/4)")
-        return RadiusResult(family, r, r, abs(family.poly(r)), (0.0, r),
-                            "closed form")
-    if isinstance(family, ConvexMNT):
-        root, lo, hi, note = min_positive_root(family.poly, 1.0)
-        res = _result_x(family, root, lo, hi, n=family.n)
-        return RadiusResult(res.family, res.radius_r, res.radius_x,
-                            res.residual, res.bracket, note)
-    if isinstance(family, EulerLambda):
-        root, lo, hi = bracketed_bisection(family.poly, 0.0, SQRT2_MINUS_1)
-        return _result_x(family, root, lo, hi, n=family.n)
-    if isinstance(family, AreaT):
-        if family.t >= 9.0 / 17.0:
-            # Clamped branch: the radius is 1/3 by definition, not a root of
-            # the cubic (which is nonnegative on (0, 1/3] here).
-            x = 1.0 / 3.0
-            return RadiusResult(family, x / family.n, x, 0.0,
-                                (0.0, x), "closed form (clamped branch)")
-        root, lo, hi = bracketed_bisection(family.poly, 0.0, 1.0 / 3.0)
-        return _result_x(family, root, lo, hi, n=family.n)
-    raise TypeError(f"unknown radius family {family!r}")
-
-
-def _result_r(family: RadiusFamily, root: float, lo: float, hi: float,
-              n: int) -> RadiusResult:
-    return RadiusResult(family, root, n * root, abs(family.poly(root)), (lo, hi))
-
-
-def _result_x(family: RadiusFamily, root: float, lo: float, hi: float,
-              n: int) -> RadiusResult:
-    return RadiusResult(family, root / n, root, abs(family.poly(root)), (lo, hi))
+    """The radius of the family: its closed form where one exists, otherwise
+    the unique (or minimum positive) root on the proof-supplied bracket."""
+    result = family.closed_form()
+    if result is not None:
+        return result
+    if family.min_root:
+        root, lo, hi, note = min_positive_root(family.poly, family.bracket_hi)
+    else:
+        root, lo, hi = bracketed_bisection(family.poly, 0.0, family.bracket_hi)
+        note = ""
+    n = family.dim
+    r, x = (root, n * root) if family.solve_var == "r" else (root / n, root)
+    return RadiusResult(family, r, x, abs(family.poly(root)), (lo, hi), note)
 
 
 def limit_sweep_N(m: int, n: int, N_list: list[int]) -> list[RadiusResult]:

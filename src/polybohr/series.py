@@ -52,10 +52,6 @@ def inf_norm(z: Point) -> float:
     return max(abs(c) for c in z)
 
 
-def degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
-
-
 def enumerate_multiindices(n: int, k: int) -> list[MultiIndex]:
     """All exponent tuples of dimension n and degree k, in colexicographic
     order (the last coordinate varies slowest).
@@ -257,12 +253,6 @@ def eval_series(f: TruncatedSeries, z: Point) -> complex:
                     term *= zi ** ai
             total += term
     return total
-
-
-def eval_series_with_tail(f: TruncatedSeries, z: Point) -> tuple[complex, float]:
-    """Truncated value together with a bound on |f(z) - value|."""
-    value = eval_series(f, z)
-    return value, f.tail_sum(inf_norm(z))
 
 
 def majorant_block_sums(f: TruncatedSeries) -> list[float]:

@@ -9,9 +9,10 @@ Three suite kinds are provided:
   schedule a -> 1- must yield VIOLATED at the designated evaluation point,
 * coefficient/derivative bound audits on seeded (function, point) pairs.
 
-Designated evaluation points: the diagonal (r, ..., r) for the plain majorant
-and area functionals, (-r, ..., -r) for the radial-derivative functional, and
-the diagonal r * exp(i pi (2m-1)/m) for composition functionals of order m.
+Each family's ``functional`` (in radii) evaluates at its designated point:
+the diagonal (r, ..., r) for the plain majorant and area functionals,
+(-r, ..., -r) for the radial-derivative functional, and the diagonal
+r * exp(i pi (2m-1)/m) for composition functionals of order m.
 
 Sharpness of the composition family uses the from-degree-N tail: that is the
 index set under which the extremal schedule's closed-form value exceeds one
@@ -23,77 +24,17 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .families import (
-    ExtremalSpec,
-    Lcg64,
-    extremal_series,
-    sample_product_spec,
-    schwarz_power_map,
-)
-from .functionals import (
-    FromDegree,
-    MultiplesOf,
-    functional_A,
-    functional_B,
-    functional_C,
-    functional_D,
-    functional_E,
-    functional_rogosinski_uni,
-)
-from .radii import (
-    AN,
-    AreaT,
-    Classical,
-    ConvexMNT,
-    ConvexT,
-    EulerLambda,
-    RadiusFamily,
-    RmN,
-    RmnN,
-    RogosinskiUni,
-    family_dim,
-    solve,
-)
-from .report import EvalReport, Verdict
-from .series import (
-    MULTINOMIAL_DEGREE_CAP,
-    Point,
-    TruncatedSeries,
-    euler_derivative,
-    eval_series,
-)
-
-THREADS_ENV_VAR = "POLYBOHR_THREADS"
+from .families import ExtremalSpec, Lcg64, extremal_series, sample_product_spec
+from .radii import RadiusFamily, solve
+from .report import Verdict
+from .series import MULTINOMIAL_DEGREE_CAP, Point, euler_derivative, eval_series
 
 # Extremal-family truncations stop at the exact-multinomial degree cap; the
 # certified tails are far below every tolerance used here well before it.
 EXTREMAL_K_CAP = MULTINOMIAL_DEGREE_CAP
-
-
-def worker_count() -> int:
-    """Parallelism cap from the environment; all cores when unset."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {raw}")
-    return count
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map across suite cases; results are merged by index,
-    so output does not depend on scheduling."""
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -110,10 +51,14 @@ class SuiteConfig:
     tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
         if not 0.0 < self.margin_below < 1.0:
             raise ValueError(f"margin_below must lie in (0,1), got {self.margin_below}")
-        if self.margin_above <= 0.0:
+        if not self.margin_above > 0.0:
             raise ValueError(f"margin_above must be positive, got {self.margin_above}")
+        if math.isinf(self.margin_above):
+            raise ValueError(f"margin_above must be finite, got {self.margin_above}")
 
 
 @dataclass(frozen=True)
@@ -171,49 +116,6 @@ def _make_report(suite: str, family: RadiusFamily, radius_r: float,
     )
 
 
-def branch_diagonal(n: int, m: int, r: float) -> Point:
-    """The designated composition point: every coordinate equals
-    r * exp(i pi (2m-1)/m); m = 1 gives the real diagonal (-r, ..., -r)."""
-    c = cmath.exp(1j * math.pi * (2 * m - 1) / m)
-    if m == 1:
-        c = -1.0 + 0.0j  # exact real value, no rounding in the phase
-    return (c * r,) * n
-
-
-def family_functional(family: RadiusFamily, f: TruncatedSeries, r: float,
-                      sharpness: bool = False) -> EvalReport:
-    """Evaluate the family's functional on f at equal polyradius r, at the
-    family's designated evaluation point."""
-    if isinstance(family, Classical):
-        return functional_A(f, r)
-    if isinstance(family, RogosinskiUni):
-        return functional_rogosinski_uni(f, (-r + 0.0j,), family.N, family.p)
-    if isinstance(family, (RmN, RmnN)):
-        m = family.m
-        n = family_dim(family)
-        N = family.N
-        z = branch_diagonal(n, m, r)
-        omega = schwarz_power_map(n, m)
-        if isinstance(family, RmN):
-            mode: FromDegree | MultiplesOf = FromDegree(N)
-        else:
-            mode = FromDegree(N) if sharpness else MultiplesOf(N)
-        return functional_B(f, omega, z, mode, p=1)
-    if isinstance(family, ConvexT):
-        omega = schwarz_power_map(1, 1)
-        return functional_C(f, omega, (-r + 0.0j,), family.t)
-    if isinstance(family, ConvexMNT):
-        omega = schwarz_power_map(family.n, family.m)
-        return functional_C(f, omega, branch_diagonal(family.n, family.m, r), family.t)
-    if isinstance(family, EulerLambda):
-        return functional_D(f, (-r + 0.0j,) * family.n, family.lam)
-    if isinstance(family, AreaT):
-        return functional_E(f, r, family.t)
-    if isinstance(family, AN):
-        raise ValueError("the large-m limit family has no functional of its own")
-    raise TypeError(f"unknown radius family {family!r}")
-
-
 def case_seed(base_seed: int, index: int) -> int:
     """Per-case seed derived from the suite seed; stable across runs."""
     rng = Lcg64(base_seed)
@@ -227,26 +129,24 @@ def check_holds_below(config: SuiteConfig) -> SuiteReport:
     escalation before they may count as failures."""
     solved = solve(config.family)
     r = config.margin_below * solved.radius_r
-    n = family_dim(config.family)
-
-    def run_case(i: int) -> CaseResult:
+    n = config.family.dim
+    cases: list[CaseResult] = []
+    for i in range(config.samples):
         seed_i = case_seed(config.seed, i)
         spec = sample_product_spec(seed_i, n, config.factors_per_coordinate)
         K = config.k_start
         while True:
             f = spec.series(K)
-            rep = family_functional(config.family, f, r)
+            rep = config.family.functional(f, r)
             if rep.verdict is not Verdict.INCONCLUSIVE or K >= config.k_cap:
                 break
             if rep.tail_bound < config.tail_tol:
                 break
             K *= 2
-        return CaseResult(i, seed_i, rep.verdict.value, rep.value,
-                          rep.tail_bound, K, rep.detail)
-
-    cases = parallel_map(run_case, range(config.samples))
+        cases.append(CaseResult(i, seed_i, rep.verdict.value, rep.value,
+                                rep.tail_bound, K, rep.detail))
     return _make_report("holds-below", config.family, solved.radius_r, r,
-                        list(cases), lambda c: c.verdict != Verdict.HOLDS.value)
+                        cases, lambda c: c.verdict != Verdict.HOLDS.value)
 
 
 def check_sharpness_above(config: SuiteConfig) -> SuiteReport:
@@ -255,7 +155,7 @@ def check_sharpness_above(config: SuiteConfig) -> SuiteReport:
     never an exception."""
     solved = solve(config.family)
     r = solved.radius_r + config.margin_above
-    n = family_dim(config.family)
+    n = config.family.dim
     cases: list[CaseResult] = []
     witness: float | None = None
     k_cap = min(config.k_cap, EXTREMAL_K_CAP)
@@ -264,7 +164,7 @@ def check_sharpness_above(config: SuiteConfig) -> SuiteReport:
         K = min(config.k_start, k_cap)
         while True:
             f = extremal_series(spec, K)
-            rep = family_functional(config.family, f, r, sharpness=True)
+            rep = config.family.functional(f, r, sharpness=True)
             if rep.verdict is not Verdict.INCONCLUSIVE or K >= k_cap:
                 break
             if rep.tail_bound < config.tail_tol:

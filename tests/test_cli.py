@@ -1,10 +1,13 @@
 """Command-line interface: record schema, CSV output, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
+
+from polybohr import cli, radii
 
 PKG = [sys.executable, "-m", "polybohr"]
 
@@ -49,6 +52,13 @@ class TestRadiusCommand:
     def test_out_of_range_parameter_usage_error(self):
         proc = run_cli("radius", "--family", "area", "--n", "1", "--t", "1.5")
         assert proc.returncode == 2
+
+    def test_nonfinite_lambda_usage_error(self):
+        for value in ("nan", "inf"):
+            proc = run_cli("radius", "--family", "euler", "--lambda", value)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert "lambda must be" in proc.stderr
 
     def test_degenerate_solve_exits_one_with_diagnostic(self):
         proc = run_cli("radius", "--family", "convexmnt", "--m", "1",
@@ -105,6 +115,22 @@ class TestTableCommand:
         proc = run_cli("table", "--name", "bogus")
         assert proc.returncode == 2
 
+    def test_nonpositive_counts_usage_error(self):
+        for args in (("--name", "thm2.3-grid", "--t-steps", "0"),
+                     ("--name", "thmC-limits", "--N-max", "0")):
+            proc = run_cli("table", *args)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert f"{args[2]} must be >= 1" in proc.stderr
+
+    def test_zero_parameter_is_not_replaced_by_default(self):
+        for args in (("--name", "thm2.2-sweepN", "--m", "0"),
+                     ("--name", "thm2.2-sweepM", "--N", "0"),
+                     ("--name", "thm2.3-grid", "--m", "0")):
+            proc = run_cli("table", *args)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+
 
 class TestVerifyCommand:
     def test_classical_passes(self):
@@ -131,6 +157,18 @@ class TestVerifyCommand:
         payload = payload_of(proc)
         (suite,) = payload["suites"]
         assert suite["witness_a"] is not None
+
+    def test_zero_samples_usage_error(self):
+        proc = run_cli("verify", "--family", "classical", "--samples", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "samples must be >= 1" in proc.stderr
+
+    def test_nan_margin_usage_error(self):
+        proc = run_cli("verify", "--family", "classical", "--margin-above", "nan")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "margin_above must be positive" in proc.stderr
 
     def test_area_sharpness_fails_with_exit_one(self):
         proc = run_cli("verify", "--family", "area", "--n", "1", "--t", "0.4",
@@ -185,6 +223,45 @@ class TestLimitsCommand:
     def test_requires_exactly_one_axis(self):
         assert run_cli("limits").returncode == 2
         assert run_cli("limits", "--N-list", "1,2", "--m-list", "1,2").returncode == 2
+
+
+class TestFamilyRegistry:
+    FLAGS = {"n": "--n", "m": "--m", "N": "--N", "p": "--p", "t": "--t",
+             "lam": "--lambda"}
+    VALUES = {"n": "2", "m": "2", "N": "3", "p": "1", "t": "0.4", "lam": "0.7"}
+    DEFAULTED = {"n", "p"}  # the CLI gives these flags a default
+
+    def test_every_family_class_is_registered(self):
+        classes = {cls for cls in vars(radii).values()
+                   if isinstance(cls, type) and "poly" in vars(cls)}
+        assert classes == set(radii.FAMILIES.values())
+
+    def test_family_choices_are_registered_names(self, capsys):
+        expected = ["classical", "rogosinski", "rmn", "rmnn", "an", "convext",
+                    "convexmnt", "euler", "area"]
+        assert list(radii.FAMILIES) == expected
+        with pytest.raises(SystemExit):
+            cli.main(["radius", "--help"])
+        assert "{" + ",".join(expected) + "}" in capsys.readouterr().out
+
+    def test_each_missing_required_field_is_a_usage_error(self, capsys):
+        for name, cls in radii.FAMILIES.items():
+            fields = [f.name for f in dataclasses.fields(cls)]
+            required = [f for f in fields if f not in self.DEFAULTED]
+            for missing in required:
+                argv = ["radius", "--family", name]
+                for f in fields:
+                    if f != missing:
+                        argv += [self.FLAGS[f], self.VALUES[f]]
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(argv)
+                assert exc.value.code == 2
+                assert f"requires {self.FLAGS[missing]}" in capsys.readouterr().err
+            if required:
+                # with every flag missing, the first field in order is named
+                with pytest.raises(SystemExit):
+                    cli.main(["radius", "--family", name])
+                assert f"requires {self.FLAGS[required[0]]}" in capsys.readouterr().err
 
 
 def test_entry_point_help():

@@ -35,7 +35,7 @@ from polybohr import (
     schwarz_power_map,
     zero_series,
 )
-from polybohr.verify import branch_diagonal
+from polybohr.radii import branch_diagonal
 
 
 def extremal(a, n, K=48):

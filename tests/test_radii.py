@@ -21,7 +21,6 @@ from polybohr import (
     limit_sweep_m,
     limit_sweep_N,
     min_positive_root,
-    poly_eval,
     solve,
 )
 
@@ -134,27 +133,27 @@ class TestRogosinskiFamilies:
 
 class TestPolyEval:
     def test_euler_constant_term(self):
-        assert poly_eval(EulerLambda(n=1, lam=0.3), 0.0) == -1.0
+        assert EulerLambda(n=1, lam=0.3).poly(0.0) == -1.0
 
     def test_composition_value_at_one_third(self):
         # 2*(1/3)*(4/3) - (2/3)^2 = 4/9 by rational arithmetic
-        got = poly_eval(RmnN(m=1, n=1, N=1), 1.0 / 3.0)
+        got = RmnN(m=1, n=1, N=1).poly(1.0 / 3.0)
         assert got == pytest.approx(4.0 / 9.0, rel=1e-14)
 
     def test_area_cubic_vanishes_at_exact_parameter(self):
         # 9x^3 + 9x^2 + 23x - 9 at x = 1/3 is zero: scaled by 17/27 the
         # cubic value is (36 - 68 t)/27
-        got = poly_eval(AreaT(n=1, t=9.0 / 17.0), 1.0 / 3.0)
+        got = AreaT(n=1, t=9.0 / 17.0).poly(1.0 / 3.0)
         assert abs(got) < 1e-14
 
     def test_bracket_sign_conditions(self):
         # low end negative, high end positive, as the monotonicity arguments use
-        assert poly_eval(RmnN(m=2, n=3, N=2), 0.0) == -1.0
-        assert poly_eval(RmnN(m=2, n=3, N=2), 1.0 / 3.0) > 0.0
-        assert poly_eval(EulerLambda(n=1, lam=2.0), 0.0) == -1.0
-        assert poly_eval(EulerLambda(n=1, lam=2.0), SQRT2M1) > 0.0
-        assert poly_eval(AN(n=1, N=5), 0.0) == -1.0
-        assert poly_eval(AN(n=1, N=5), 1.0) > 0.0
+        assert RmnN(m=2, n=3, N=2).poly(0.0) == -1.0
+        assert RmnN(m=2, n=3, N=2).poly(1.0 / 3.0) > 0.0
+        assert EulerLambda(n=1, lam=2.0).poly(0.0) == -1.0
+        assert EulerLambda(n=1, lam=2.0).poly(SQRT2M1) > 0.0
+        assert AN(n=1, N=5).poly(0.0) == -1.0
+        assert AN(n=1, N=5).poly(1.0) > 0.0
 
 
 class TestEulerQuartics:
