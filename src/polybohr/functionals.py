@@ -1,6 +1,6 @@
 """Bohr-type functionals on truncated series, with certified verdicts.
 
-Five functionals are evaluated against a threshold (normally 1):
+Five functionals are evaluated against 1:
 
 * A: the plain majorant sum over all degrees,
 * B: |f(omega(z))|^p plus a majorant tail starting at degree N, where the
@@ -19,7 +19,7 @@ Each report records which path was taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 from .families import SchwarzMapSpec, eval_schwarz
 from .report import EvalReport
@@ -40,6 +40,7 @@ class FromDegree:
     """Tail index set {k : k >= N}."""
 
     N: int
+    step: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -56,25 +57,19 @@ class MultiplesOf:
         if self.N < 1:
             raise ValueError(f"tail step must be >= 1, got {self.N}")
 
+    @property
+    def step(self) -> int:
+        return self.N
 
-TailMode = Union[FromDegree, MultiplesOf]
 
-
-def _mode_sum(f: TruncatedSeries, r: float, mode: TailMode) -> tuple[float, float]:
-    """Truncated majorant mass over the mode's index set plus its remainder."""
+def _mode_sum(f: TruncatedSeries, r: float,
+              mode: FromDegree | MultiplesOf) -> tuple[float, float]:
+    """Majorant mass over the index set {N, N + step, ...} and its remainder."""
     blocks = majorant_block_sums(f)
     value = 0.0
-    if isinstance(mode, FromDegree):
-        for k in range(mode.N, f.max_degree + 1):
-            value += blocks[k] * r ** k
-        tail = f.tail_sum(r, start=mode.N)
-    else:
-        k = mode.N
-        while k <= f.max_degree:
-            value += blocks[k] * r ** k
-            k += mode.N
-        tail = f.tail_sum(r, step=mode.N)
-    return value, tail
+    for k in range(mode.N, f.max_degree + 1, mode.step):
+        value += blocks[k] * r ** k
+    return value, f.tail_sum(r, start=mode.N, step=mode.step)
 
 
 def _composition_modulus(f: TruncatedSeries, w: Point) -> tuple[float, float, str]:
@@ -87,13 +82,13 @@ def _composition_modulus(f: TruncatedSeries, w: Point) -> tuple[float, float, st
     return abs(value), err, "series"
 
 
-def functional_A(f: TruncatedSeries, r: float, threshold: float = 1.0) -> EvalReport:
+def functional_A(f: TruncatedSeries, r: float) -> EvalReport:
     """Majorant sum over every degree; delegates to the series layer."""
-    return majorant_sum(f, r, threshold)
+    return majorant_sum(f, r)
 
 
 def functional_B(f: TruncatedSeries, omega: SchwarzMapSpec, z: Point,
-                 mode: TailMode, p: int = 1, threshold: float = 1.0) -> EvalReport:
+                 mode: FromDegree | MultiplesOf, p: int = 1) -> EvalReport:
     """|f(omega(z))|^p plus the majorant tail selected by ``mode``."""
     if p not in (1, 2):
         raise ValueError(f"modulus power must be 1 or 2, got {p}")
@@ -107,12 +102,12 @@ def functional_B(f: TruncatedSeries, omega: SchwarzMapSpec, z: Point,
         head_err = head_err * (2.0 * head + head_err)
         head = head * head
     tail_value, tail_rest = _mode_sum(f, r, mode)
-    return EvalReport.build(head + tail_value, head_err + tail_rest, threshold,
+    return EvalReport.build(head + tail_value, head_err + tail_rest,
                             detail=f"head={path}")
 
 
-def functional_C(f: TruncatedSeries, omega: SchwarzMapSpec, z: Point, t: float,
-                 threshold: float = 1.0) -> EvalReport:
+def functional_C(f: TruncatedSeries, omega: SchwarzMapSpec, z: Point,
+                 t: float) -> EvalReport:
     """t |f(omega(z))| + (1-t) * majorant at r = inf-norm of z."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"convex weight must lie in [0,1], got {t}")
@@ -124,11 +119,10 @@ def functional_C(f: TruncatedSeries, omega: SchwarzMapSpec, z: Point, t: float,
     maj = majorant_sum(f, r)
     value = t * head + (1.0 - t) * maj.value
     tail = t * head_err + (1.0 - t) * maj.tail_bound
-    return EvalReport.build(value, tail, threshold, detail=f"head={path}")
+    return EvalReport.build(value, tail, detail=f"head={path}")
 
 
-def functional_D(f: TruncatedSeries, z: Point, lam: float,
-                 threshold: float = 1.0) -> EvalReport:
+def functional_D(f: TruncatedSeries, z: Point, lam: float) -> EvalReport:
     """|f(z)| + |Df(z)| + lambda * sum of majorant blocks of degree >= 2."""
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -142,11 +136,10 @@ def functional_D(f: TruncatedSeries, z: Point, lam: float,
     mid_value, mid_tail = _mode_sum(f, r, FromDegree(2))
     value = head + dval + lam * mid_value
     tail = head_err + derr + lam * mid_tail
-    return EvalReport.build(value, tail, threshold, detail=f"head={path}")
+    return EvalReport.build(value, tail, detail=f"head={path}")
 
 
-def functional_E(f: TruncatedSeries, r: float, t: float,
-                 threshold: float = 1.0) -> EvalReport:
+def functional_E(f: TruncatedSeries, r: float, t: float) -> EvalReport:
     """t * majorant + (1-t) * area sum at the equal polyradius r."""
     if not 0.0 < t <= 1.0:
         raise ValueError(f"area weight must lie in (0,1], got {t}")
@@ -154,13 +147,12 @@ def functional_E(f: TruncatedSeries, r: float, t: float,
     area = area_sum(f, r)
     value = t * maj.value + (1.0 - t) * area.value
     tail = t * maj.tail_bound + (1.0 - t) * area.tail_bound
-    return EvalReport.build(value, tail, threshold, detail="majorant+area")
+    return EvalReport.build(value, tail, detail="majorant+area")
 
 
-def functional_rogosinski_uni(f: TruncatedSeries, z: Point, N: int, p: int = 1,
-                              threshold: float = 1.0) -> EvalReport:
+def functional_rogosinski_uni(f: TruncatedSeries, z: Point, N: int,
+                              p: int = 1) -> EvalReport:
     """Univariate |f(z)|^p + sum_{k>=N} |a_k| r^k."""
     if f.dim != 1:
         raise ValueError(f"univariate functional on a series of dimension {f.dim}")
-    identity = SchwarzMapSpec(n=1, m=1)
-    return functional_B(f, identity, z, FromDegree(N), p, threshold)
+    return functional_B(f, SchwarzMapSpec(n=1, m=1), z, FromDegree(N), p)

@@ -68,25 +68,22 @@ def bracketed_bisection(g: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi), lo, hi
 
 
-def min_positive_root(g: Callable[[float], float], hi: float,
-                      grid_points: int = MIN_ROOT_GRID,
-                      tol: float = BISECTION_TOL) -> tuple[float, float, float, str]:
+def min_positive_root(g: Callable[[float], float],
+                      hi: float) -> tuple[float, float, float, str]:
     """Smallest positive root of g on (0, hi]: uniform grid scan for the first
     sign change, then bisection.  Later sign changes on the grid are reported
     in the note so root selection stays auditable."""
-    if grid_points < 10:
-        raise ValueError(f"grid must have at least 10 points, got {grid_points}")
-    h = hi / grid_points
+    h = hi / MIN_ROOT_GRID
     prev_x, prev_v = h, g(h)
     if prev_v == 0.0:
         return prev_x, prev_x, prev_x, "root on the scan grid"
     first: tuple[float, float] | None = None
     extra: list[float] = []
-    for i in range(2, grid_points + 1):
+    for i in range(2, MIN_ROOT_GRID + 1):
         x, v = i * h, g(i * h)
         # An exact zero at the high end without a sign change (a boundary
         # double root) is not a crossing; it surfaces through the error path.
-        crossing = prev_v * v < 0.0 or (v == 0.0 and i < grid_points)
+        crossing = prev_v * v < 0.0 or (v == 0.0 and i < MIN_ROOT_GRID)
         if crossing:
             if first is None:
                 first = (prev_x, x)
@@ -96,10 +93,10 @@ def min_positive_root(g: Callable[[float], float], hi: float,
     if first is None:
         boundary = g(hi)
         raise NoSignChangeError(
-            f"no sign change on ({h}, {hi}] scanned at {grid_points} points; "
+            f"no sign change on ({h}, {hi}] scanned at {MIN_ROOT_GRID} points; "
             f"value at the high end is {boundary}"
             + (" (boundary root)" if abs(boundary) < 1e-9 else ""))
-    root, lo, hi_b = bracketed_bisection(g, first[0], first[1], tol)
+    root, lo, hi_b = bracketed_bisection(g, first[0], first[1])
     if extra:
         note = ("additional sign changes near "
                 + ", ".join(f"{x:.6g}" for x in extra[:4]))
@@ -428,17 +425,23 @@ def solve(family: RadiusFamily) -> RadiusResult:
     return RadiusResult(family, r, x, abs(family.poly(root)), (lo, hi), note)
 
 
+def _sweep(name: str, values: list[int],
+           family: Callable[[int], RadiusFamily]) -> list[RadiusResult]:
+    """Roots of ``family(v)`` over a non-empty, strictly ascending list."""
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    if list(values) != sorted(values) or len(set(values)) != len(values):
+        raise ValueError(f"{name} must be strictly ascending")
+    return [solve(family(v)) for v in values]
+
+
 def limit_sweep_N(m: int, n: int, N_list: list[int]) -> list[RadiusResult]:
     """Roots of the composition family for ascending N; the sequence is
     strictly increasing toward 1 (n = 1) or toward x = n r -> 1 (n >= 2)."""
-    if list(N_list) != sorted(N_list) or len(set(N_list)) != len(N_list):
-        raise ValueError("N_list must be strictly ascending")
-    return [solve(RmnN(m=m, n=n, N=N)) for N in N_list]
+    return _sweep("N_list", N_list, lambda N: RmnN(m=m, n=n, N=N))
 
 
 def limit_sweep_m(n: int, N: int, m_list: list[int]) -> list[RadiusResult]:
     """Roots of the composition family for ascending m; the sequence
     approaches the root of the large-m limit family AN(n, N)."""
-    if list(m_list) != sorted(m_list) or len(set(m_list)) != len(m_list):
-        raise ValueError("m_list must be strictly ascending")
-    return [solve(RmnN(m=m, n=n, N=N)) for m in m_list]
+    return _sweep("m_list", m_list, lambda m: RmnN(m=m, n=n, N=N))

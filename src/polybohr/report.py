@@ -1,12 +1,13 @@
 """Three-valued evaluation reports shared by the series and functional layers.
 
 Every functional evaluation returns a value together with a rigorous upper
-bound on the truncated tail.  The verdict against a threshold (normally 1) is
-three-valued so that truncation can never silently mislabel a result:
+bound on the truncated tail.  Every inequality of the theory compares its
+functional against 1, so the verdict is against 1; it is three-valued so
+that truncation can never silently mislabel a result:
 
-* ``HOLDS``        value + tail_bound <= threshold, conclusive,
-* ``VIOLATED``     value alone exceeds the threshold, conclusive,
-* ``INCONCLUSIVE`` value <= threshold < value + tail_bound; raising the
+* ``HOLDS``        value + tail_bound <= 1, conclusive,
+* ``VIOLATED``     value alone exceeds 1, conclusive,
+* ``INCONCLUSIVE`` value <= 1 < value + tail_bound; raising the
   truncation degree shrinks the tail and resolves the case.
 """
 
@@ -28,24 +29,22 @@ class EvalReport:
 
     value: float
     tail_bound: float
-    threshold: float = 1.0
     verdict: Verdict = Verdict.HOLDS
     detail: str = ""
 
     @staticmethod
-    def build(value: float, tail_bound: float, threshold: float = 1.0,
-              detail: str = "") -> "EvalReport":
+    def build(value: float, tail_bound: float, detail: str = "") -> "EvalReport":
         if tail_bound < 0.0:
             raise ValueError(f"negative tail bound {tail_bound}")
-        if value > threshold:
+        if value > 1.0:
             verdict = Verdict.VIOLATED
-        elif value + tail_bound <= threshold:
+        elif value + tail_bound <= 1.0:
             verdict = Verdict.HOLDS
         else:
             verdict = Verdict.INCONCLUSIVE
-        return EvalReport(value, tail_bound, threshold, verdict, detail)
+        return EvalReport(value, tail_bound, verdict, detail)
 
     @property
     def slack(self) -> float:
-        """Distance from value + tail to the threshold (positive when HOLDS)."""
-        return self.threshold - (self.value + self.tail_bound)
+        """Distance from value + tail to 1 (positive when HOLDS)."""
+        return 1.0 - (self.value + self.tail_bound)

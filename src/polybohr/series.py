@@ -200,19 +200,16 @@ class TruncatedSeries:
             block.sort(key=lambda a: tuple(reversed(a)))
         return by_degree
 
-    def tail_sum(self, r: float, start: int | None = None, step: int = 1) -> float:
+    def tail_sum(self, r: float, start: int = 1, step: int = 1) -> float:
         """Bound for the discarded majorant mass sum_k block_k * r^k.
 
         The sum ranges over degrees beyond the truncation that are >= start
-        (when given) and, for step > 1, lie in {step, 2*step, 3*step, ...}.
+        and lie in {step, 2*step, 3*step, ...}.
         """
         if self.tail is None:
             return 0.0
-        first = max(self.max_degree + 1, self.tail.valid_from_degree)
-        if start is not None:
-            first = max(first, start)
-        if step > 1:
-            first = step * ((first + step - 1) // step)
+        first = max(self.max_degree + 1, self.tail.valid_from_degree, start)
+        first = step * ((first + step - 1) // step)
         return _weighted_geometric_sum(
             self.tail.C, self.tail.q * r, self.tail.weight, first, step)
 
@@ -271,16 +268,16 @@ def squared_block_sums(f: TruncatedSeries) -> list[float]:
     return blocks
 
 
-def majorant_sum(f: TruncatedSeries, r: float, threshold: float = 1.0) -> EvalReport:
+def majorant_sum(f: TruncatedSeries, r: float) -> EvalReport:
     """Majorant value sum_k block_k r^k with a certified remainder, reported
-    against the threshold."""
+    against 1."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     blocks = majorant_block_sums(f)
     value = 0.0
     for k, b in enumerate(blocks):
         value += b * r ** k
-    return EvalReport.build(value, f.tail_sum(r), threshold, detail="majorant")
+    return EvalReport.build(value, f.tail_sum(r), detail="majorant")
 
 
 def euler_derivative(f: TruncatedSeries) -> TruncatedSeries:
@@ -295,7 +292,7 @@ def euler_derivative(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(f.dim, f.max_degree, coeffs, tail)
 
 
-def area_sum(f: TruncatedSeries, r: float, threshold: float = 1.0) -> EvalReport:
+def area_sum(f: TruncatedSeries, r: float) -> EvalReport:
     """Normalised image-area sum: sum_k k (sum_{|alpha|=k} |a_alpha|^2) r^{2k}.
 
     The remainder uses blockwise l2 <= l1 domination: the squared block at
@@ -314,4 +311,4 @@ def area_sum(f: TruncatedSeries, r: float, threshold: float = 1.0) -> EvalReport
         start = max(f.max_degree + 1, f.tail.valid_from_degree)
         tail = _weighted_geometric_sum(
             f.tail.C ** 2, (f.tail.q * r) ** 2, 2 * f.tail.weight + 1, start)
-    return EvalReport.build(value, tail, threshold, detail="area")
+    return EvalReport.build(value, tail, detail="area")

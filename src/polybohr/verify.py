@@ -3,11 +3,15 @@
 Three suite kinds are provided:
 
 * hold-below: at r = margin_below * radius, every sampled certified-bounded
-  function must yield a conclusive HOLDS verdict (truncation degree is
-  escalated while a verdict stays INCONCLUSIVE),
+  function must yield a conclusive HOLDS verdict,
 * sharpness-above: at r = radius + margin_above, some member of the extremal
   schedule a -> 1- must yield VIOLATED at the designated evaluation point,
 * coefficient/derivative bound audits on seeded (function, point) pairs.
+
+Both suites run each case through one escalation loop: the truncation degree
+K starts at min(k_start, cap) and doubles up to the cap (k_cap for hold-below,
+min(k_cap, EXTREMAL_K_CAP) for sharpness-above) while the verdict is
+INCONCLUSIVE and the certified tail is at least TAIL_TOL.
 
 Each family's ``functional`` (in radii) evaluates at its designated point:
 the diagonal (r, ..., r) for the plain majorant and area functionals,
@@ -29,12 +33,16 @@ from typing import Callable, Iterable
 
 from .families import ExtremalSpec, Lcg64, extremal_series, sample_product_spec
 from .radii import RadiusFamily, solve
-from .report import Verdict
+from .report import EvalReport, Verdict
 from .series import MULTINOMIAL_DEGREE_CAP, Point, euler_derivative, eval_series
 
 # Extremal-family truncations stop at the exact-multinomial degree cap; the
 # certified tails are far below every tolerance used here well before it.
 EXTREMAL_K_CAP = MULTINOMIAL_DEGREE_CAP
+
+# Escalation stops once the certified tail is below this: a verdict still
+# INCONCLUSIVE then sits on 1 within roundoff, where more degrees cannot help.
+TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,11 +56,14 @@ class SuiteConfig:
     factors_per_coordinate: int = 3
     k_start: int = 16
     k_cap: int = 512
-    tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.k_start < 1:
+            raise ValueError(f"k_start must be >= 1, got {self.k_start}")
+        if self.k_cap < 1:
+            raise ValueError(f"k_cap must be >= 1, got {self.k_cap}")
         if not 0.0 < self.margin_below < 1.0:
             raise ValueError(f"margin_below must lie in (0,1), got {self.margin_below}")
         if not self.margin_above > 0.0:
@@ -123,6 +134,18 @@ def case_seed(base_seed: int, index: int) -> int:
     return rng.next_u64()
 
 
+def _escalate(evaluate: Callable[[int], EvalReport], k_start: int,
+              cap: int) -> tuple[EvalReport, int]:
+    """The escalation loop of the module docstring: the last report and its K."""
+    K = min(k_start, cap)
+    while True:
+        rep = evaluate(K)
+        if (rep.verdict is not Verdict.INCONCLUSIVE or K >= cap
+                or rep.tail_bound < TAIL_TOL):
+            return rep, K
+        K = min(2 * K, cap)
+
+
 def check_holds_below(config: SuiteConfig) -> SuiteReport:
     """Sampled certified-bounded functions must give HOLDS at
     r = margin_below * radius; INCONCLUSIVE verdicts trigger truncation
@@ -134,15 +157,8 @@ def check_holds_below(config: SuiteConfig) -> SuiteReport:
     for i in range(config.samples):
         seed_i = case_seed(config.seed, i)
         spec = sample_product_spec(seed_i, n, config.factors_per_coordinate)
-        K = config.k_start
-        while True:
-            f = spec.series(K)
-            rep = config.family.functional(f, r)
-            if rep.verdict is not Verdict.INCONCLUSIVE or K >= config.k_cap:
-                break
-            if rep.tail_bound < config.tail_tol:
-                break
-            K *= 2
+        rep, K = _escalate(lambda K: config.family.functional(spec.series(K), r),
+                           config.k_start, config.k_cap)
         cases.append(CaseResult(i, seed_i, rep.verdict.value, rep.value,
                                 rep.tail_bound, K, rep.detail))
     return _make_report("holds-below", config.family, solved.radius_r, r,
@@ -155,21 +171,13 @@ def check_sharpness_above(config: SuiteConfig) -> SuiteReport:
     never an exception."""
     solved = solve(config.family)
     r = solved.radius_r + config.margin_above
-    n = config.family.dim
     cases: list[CaseResult] = []
     witness: float | None = None
-    k_cap = min(config.k_cap, EXTREMAL_K_CAP)
+    cap = min(config.k_cap, EXTREMAL_K_CAP)
     for i, a in enumerate(config.a_schedule):
-        spec = ExtremalSpec(a=a, n=n)
-        K = min(config.k_start, k_cap)
-        while True:
-            f = extremal_series(spec, K)
-            rep = config.family.functional(f, r, sharpness=True)
-            if rep.verdict is not Verdict.INCONCLUSIVE or K >= k_cap:
-                break
-            if rep.tail_bound < config.tail_tol:
-                break
-            K = min(2 * K, k_cap)
+        spec = ExtremalSpec(a=a, n=config.family.dim)
+        rep, K = _escalate(lambda K: config.family.functional(
+            extremal_series(spec, K), r, sharpness=True), config.k_start, cap)
         cases.append(CaseResult(i, 0, rep.verdict.value, rep.value,
                                 rep.tail_bound, K, f"a={a!r} {rep.detail}"))
         if rep.verdict is Verdict.VIOLATED and witness is None:
@@ -207,9 +215,9 @@ _AUDIT_EPS = 1e-12
 
 
 def audit_lemmas(samples: int, dims: Iterable[int], radii: Iterable[float],
-                 seed: int = 0, factors_per_coordinate: int = 2,
-                 points_per_radius: int = 3) -> AuditStats:
-    """Audit four coefficient/growth bounds on seeded product functions.
+                 seed: int = 0, points_per_radius: int = 3) -> AuditStats:
+    """Audit four coefficient/growth bounds on seeded product functions with
+    two factors per coordinate.
 
     Per function: every coefficient satisfies |a_alpha| <= 1 - |a_0|^2.
     Per (function, point): the Schwarz-Pick growth bound
@@ -223,22 +231,25 @@ def audit_lemmas(samples: int, dims: Iterable[int], radii: Iterable[float],
     pairs = 0
     checks = {"growth": 0, "coefficient": 0, "vanishing": 0, "radial": 0}
     worst = math.inf
+
+    def check(kind: str, bound: float, value: complex) -> None:
+        nonlocal violations, worst
+        checks[kind] += 1
+        margin = bound + _AUDIT_EPS - abs(value)
+        worst = min(worst, margin)
+        violations += margin < 0
+
     coeff_K = 12
     for n in dims:
         for s in range(samples):
             fn_seed = case_seed(seed, s * 101 + n)
-            spec = sample_product_spec(fn_seed, n, factors_per_coordinate)
+            spec = sample_product_spec(fn_seed, n, 2)
             series = spec.series(coeff_K)
             a0 = abs(series.coefficient((0,) * n))
             cap = 1.0 - a0 * a0
             for alpha, c in series.coeffs.items():
-                if sum(alpha) == 0:
-                    continue
-                checks["coefficient"] += 1
-                margin = cap + _AUDIT_EPS - abs(c)
-                worst = min(worst, margin)
-                if margin < 0:
-                    violations += 1
+                if sum(alpha) > 0:
+                    check("coefficient", cap, c)
             vanish_order = rng.randint(1, 3)
             vanish_coord = rng.randint(0, n - 1)
             for r in radii:
@@ -248,27 +259,13 @@ def audit_lemmas(samples: int, dims: Iterable[int], radii: Iterable[float],
                     z = _random_point(rng, n, r)
                     pairs += 1
                     fz = spec.eval(z)
-                    bound = (a0 + r) / (1.0 + a0 * r)
-                    checks["growth"] += 1
-                    margin = bound + _AUDIT_EPS - abs(fz)
-                    worst = min(worst, margin)
-                    if margin < 0:
-                        violations += 1
+                    check("growth", (a0 + r) / (1.0 + a0 * r), fz)
                     # Monomial prefactor z_i^beta makes the vanishing order beta.
-                    checks["vanishing"] += 1
-                    gz = z[vanish_coord] ** vanish_order * fz
-                    margin = r ** vanish_order + _AUDIT_EPS - abs(gz)
-                    worst = min(worst, margin)
-                    if margin < 0:
-                        violations += 1
-                    checks["radial"] += 1
-                    dfz = spec.euler_eval(z)
+                    check("vanishing", r ** vanish_order,
+                          z[vanish_coord] ** vanish_order * fz)
                     nr = n * r
-                    bound = nr * (1.0 - abs(fz) ** 2) / (1.0 - nr * nr)
-                    margin = bound + _AUDIT_EPS - abs(dfz)
-                    worst = min(worst, margin)
-                    if margin < 0:
-                        violations += 1
+                    check("radial", nr * (1.0 - abs(fz) ** 2) / (1.0 - nr * nr),
+                          spec.euler_eval(z))
     return AuditStats(pairs=pairs, violations=violations, checks=checks,
                       worst_margin=worst)
 
@@ -285,25 +282,24 @@ class ClosedFormCheck:
 
 
 def euler_closed_form_check(a_values: Iterable[float], n_values: Iterable[int],
-                            r_values: Iterable[float], rel_tol: float = 1e-9,
-                            k_start: int = 16, k_cap: int = 512) -> list[ClosedFormCheck]:
+                            r_values: Iterable[float],
+                            rel_tol: float = 1e-9) -> list[ClosedFormCheck]:
     """Series-computed |Df_a| at the diagonal (-r, ..., -r) against the exact
-    value n r (1 - a^2) / (1 + a n r)^2, escalating K until the relative
-    error target is met or the cap is reached."""
+    value n r (1 - a^2) / (1 + a n r)^2, doubling K from 16 until the
+    relative error target is met or K reaches EXTREMAL_K_CAP."""
     out: list[ClosedFormCheck] = []
-    cap = min(k_cap, EXTREMAL_K_CAP)
     for a in a_values:
         for n in n_values:
             for r in r_values:
                 closed = n * r * (1.0 - a * a) / (1.0 + a * n * r) ** 2
                 z = (-r + 0.0j,) * n
-                K = min(k_start, cap)
+                K = 16
                 while True:
                     df = euler_derivative(extremal_series(ExtremalSpec(a, n), K))
                     got = abs(eval_series(df, z))
                     rel = abs(got - closed) / abs(closed) if closed else abs(got)
-                    if rel <= rel_tol or K >= cap:
+                    if rel <= rel_tol or K >= EXTREMAL_K_CAP:
                         break
-                    K = min(2 * K, cap)
+                    K = min(2 * K, EXTREMAL_K_CAP)
                 out.append(ClosedFormCheck(a, n, r, got, closed, rel, K))
     return out

@@ -131,6 +131,12 @@ class TestTableCommand:
             assert proc.returncode == 2
             assert proc.stdout == ""
 
+    def test_empty_m_list_usage_error(self):
+        proc = run_cli("table", "--name", "thm2.2-sweepM", "--m-list", "")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "m_list must not be empty" in proc.stderr
+
 
 class TestVerifyCommand:
     def test_classical_passes(self):
@@ -169,6 +175,13 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "margin_above must be positive" in proc.stderr
+
+    def test_nonpositive_k_cap_usage_error(self):
+        for value in ("0", "-3"):
+            proc = run_cli("verify", "--family", "classical", "--k-cap", value)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert f"k_cap must be >= 1, got {value}" in proc.stderr
 
     def test_area_sharpness_fails_with_exit_one(self):
         proc = run_cli("verify", "--family", "area", "--n", "1", "--t", "0.4",
@@ -219,6 +232,18 @@ class TestLimitsCommand:
         payload = payload_of(proc)
         assert payload["limit_x"] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert abs(payload["final_gap_x"]) < 1e-3
+
+    def test_empty_n_list_usage_error(self):
+        proc = run_cli("limits", "--N-list", "")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "N_list must not be empty" in proc.stderr
+
+    def test_blank_m_list_usage_error(self):
+        proc = run_cli("limits", "--m-list", " , ")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "m_list must not be empty" in proc.stderr
 
     def test_requires_exactly_one_axis(self):
         assert run_cli("limits").returncode == 2

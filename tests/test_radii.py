@@ -255,6 +255,18 @@ class TestSweeps:
         with pytest.raises(ValueError):
             limit_sweep_N(1, 1, [3, 2])
 
+    def test_rejects_empty_lists(self):
+        with pytest.raises(ValueError, match="^N_list must not be empty$"):
+            limit_sweep_N(1, 1, [])
+        with pytest.raises(ValueError, match="^m_list must not be empty$"):
+            limit_sweep_m(1, 1, [])
+
+    def test_ascending_message_names_the_list(self):
+        with pytest.raises(ValueError, match="^N_list must be strictly ascending$"):
+            limit_sweep_N(1, 1, [1, 1])
+        with pytest.raises(ValueError, match="^m_list must be strictly ascending$"):
+            limit_sweep_m(1, 1, [2, 1])
+
 
 class TestResidualGate:
     @pytest.mark.parametrize("family", [

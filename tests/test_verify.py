@@ -68,6 +68,27 @@ class TestHoldsBelow:
         with pytest.raises(ValueError):
             SuiteConfig(family=Classical(1), margin_below=1.2)
 
+    def test_k_cap_below_k_start_is_honoured(self):
+        # both suites start at min(k_start, k_cap), as in the shared loop
+        config = SuiteConfig(family=Classical(1), samples=2, k_cap=4)
+        assert [c.k_used for c in check_holds_below(config).cases] == [4, 4]
+        assert [c.k_used for c in check_sharpness_above(config).cases] == [4, 4, 4]
+
+    def test_escalation_is_clamped_to_the_cap(self):
+        # cases left INCONCLUSIVE at K = 3 escalate to the cap 5, not to 6
+        config = SuiteConfig(family=EulerLambda(n=1, lam=0.5), samples=10,
+                             seed=1, k_start=3, k_cap=5)
+        report = check_holds_below(config)
+        assert report.passed
+        assert {c.k_used for c in report.cases} == {3, 5}
+
+    @pytest.mark.parametrize("field", ["k_start", "k_cap"])
+    def test_truncation_degrees_must_be_positive(self, field):
+        # K doubles from min(k_start, k_cap), so a start of 0 would never grow
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+                SuiteConfig(family=Classical(1), samples=1, **{field: value})
+
 
 class TestSharpnessAbove:
     @pytest.mark.parametrize("family,expected_a", [
