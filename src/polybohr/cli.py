@@ -251,8 +251,7 @@ def _suite_payload(report: SuiteReport) -> dict:
     }
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace,
-               force_sharpness: bool = False) -> int:
+def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family = _build_family(parser, args)
     config = SuiteConfig(
         family=family,
@@ -263,19 +262,14 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace,
         factors_per_coordinate=args.factors,
         k_cap=args.k_cap,
     )
-    sharpness = force_sharpness or getattr(args, "sharpness", False)
-    reports = []
-    if sharpness:
-        reports.append(check_sharpness_above(config))
-    else:
-        reports.append(check_holds_below(config))
-        reports.append(check_sharpness_above(config))
+    reports = [] if args.sharpness else [check_holds_below(config)]
+    reports.append(check_sharpness_above(config))
     echo = _echo_family_args(args, family)
     echo.update({"samples": args.samples, "seed": args.seed,
                  "factors": args.factors, "k_cap": args.k_cap,
                  "margin_below": args.margin_below,
                  "margin_above": args.margin_above,
-                 "sharpness_only": sharpness})
+                 "sharpness_only": args.sharpness})
     payload = {"suites": [_suite_payload(rep) for rep in reports],
                "passed": all(rep.passed for rep in reports)}
     _emit_record("verify", echo, payload)
@@ -291,12 +285,8 @@ def cmd_expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         series = sample_bounded_function(args.seed, args.n, args.factors, args.K)
         echo = {"source": "blaschke-sample", "seed": args.seed, "n": args.n,
                 "factors": args.factors, "K": args.K}
-    by_degree = series.degrees()
-    rows = []
-    for k in sorted(by_degree):
-        for alpha in by_degree[k]:
-            c = series.coeffs[alpha]
-            rows.append([" ".join(str(a) for a in alpha), c.real, c.imag])
+    rows = [[" ".join(str(a) for a in alpha), c.real, c.imag]
+            for alpha, c in series.coeffs.items()]
     payload: dict[str, Any] = {
         "dim": series.dim,
         "max_degree": series.max_degree,
@@ -305,7 +295,7 @@ def cmd_expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     }
     if series.tail is not None:
         payload["tail"] = {"C": series.tail.C, "q": series.tail.q,
-                           "valid_from_degree": series.tail.valid_from_degree,
+                           "valid_from_degree": series.max_degree + 1,
                            "weight": series.tail.weight}
     if args.format == "csv":
         _emit_csv(["alpha", "re", "im"], rows)
@@ -335,11 +325,11 @@ def cmd_limits(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         "rows": rows,
         "strictly_increasing": all(
             sweep[i].radius_x < sweep[i + 1].radius_x for i in range(len(sweep) - 1)),
-        "last_radius_x": sweep[-1].radius_x if sweep else None,
+        "last_radius_x": sweep[-1].radius_x,
     }
     if target is not None:
         payload["limit_x"] = target
-        payload["final_gap_x"] = target - sweep[-1].radius_x if sweep else None
+        payload["final_gap_x"] = target - sweep[-1].radius_x
     echo = {"m": args.m, "n": args.n, "N": args.N,
             "N_list": args.N_list, "m_list": args.m_list}
     _emit_record("limits", echo, payload)
@@ -355,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_radius = subs.add_parser("radius", help="solve one radius family")
     _family_flags(p_radius)
+    p_radius.set_defaults(run=cmd_radius)
 
     p_table = subs.add_parser("table", help="emit a named reproduction table")
     p_table.add_argument("--name", required=True, choices=TABLE_NAMES,
@@ -366,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--m-list", dest="m_list", default="1,2,5,20,100")
     p_table.add_argument("--t-steps", dest="t_steps", type=int, default=20)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_table.set_defaults(run=cmd_table)
 
     for cmd, sharp in (("verify", False), ("sharpness", True)):
         p = subs.add_parser(cmd, help="run verification suites"
@@ -380,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         if not sharp:
             p.add_argument("--sharpness", action="store_true",
                            help="run only the sharpness-above suite")
-        p.set_defaults(force_sharpness=sharp)
+        p.set_defaults(run=cmd_verify, sharpness=sharp)
 
     p_expand = subs.add_parser("expand", help="dump series coefficients")
     p_expand.add_argument("--family", dest="source", required=True,
@@ -391,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--seed", type=int, default=0)
     p_expand.add_argument("--factors", type=int, default=2)
     p_expand.add_argument("--format", choices=("csv", "json"), default="json")
+    p_expand.set_defaults(run=cmd_expand)
 
     p_limits = subs.add_parser("limits", help="convergence sweeps in N or m")
     p_limits.add_argument("--m", type=int, default=1)
@@ -398,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_limits.add_argument("--N", type=int, default=1)
     p_limits.add_argument("--N-list", dest="N_list", default=None)
     p_limits.add_argument("--m-list", dest="m_list", default=None)
+    p_limits.set_defaults(run=cmd_limits)
 
     return parser
 
@@ -406,16 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "radius":
-            return cmd_radius(parser, args)
-        if args.command == "table":
-            return cmd_table(parser, args)
-        if args.command in ("verify", "sharpness"):
-            return cmd_verify(parser, args, force_sharpness=args.force_sharpness)
-        if args.command == "expand":
-            return cmd_expand(parser, args)
-        if args.command == "limits":
-            return cmd_limits(parser, args)
+        return args.run(parser, args)
     except (NoSignChangeError, CapacityError, DivergentTailError) as exc:
         _emit_record("error", {"command": args.command},
                      {"error": type(exc).__name__, "message": str(exc)})
@@ -423,8 +408,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         # domain validation (parameter ranges) surfaces as a usage error
         parser.error(str(exc))
-    parser.error(f"unknown command {args.command!r}")
-    raise AssertionError
 
 
 if __name__ == "__main__":

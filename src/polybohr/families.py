@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from .series import (
     CapacityError,
     ENUMERATION_CAP,
+    MULTINOMIAL_DEGREE_CAP,
     MultiIndex,
     Point,
     TailBound,
@@ -112,12 +113,17 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
         K = max(K, 1)
     else:
         _check_series_capacity(n, K)
+        if K > MULTINOMIAL_DEGREE_CAP:
+            # the first degree multinomial_coeff would refuse
+            raise CapacityError(
+                f"degree {MULTINOMIAL_DEGREE_CAP + 1} exceeds the multinomial "
+                f"cap {MULTINOMIAL_DEGREE_CAP}")
         scale = -(1.0 - a * a)
         for k in range(1, K + 1):
             ak = scale * a ** (k - 1)
             for alpha in enumerate_multiindices(n, k):
                 coeffs[alpha] = ak * multinomial_coeff(alpha)
-        tail = TailBound(C=(1.0 - a * a) / a, q=a * n, valid_from_degree=K + 1)
+        tail = TailBound(C=(1.0 - a * a) / a, q=a * n)
     return TruncatedSeries(
         dim=n, max_degree=K, coeffs=coeffs, tail=tail,
         closed_form=lambda z, _s=spec: extremal_closed_eval(_s, z))
@@ -171,8 +177,6 @@ class BlaschkeFactor:
 def _convolve_truncated(a: list[complex], b: list[complex], K: int) -> list[complex]:
     out = [0.0 + 0.0j] * (min(K, len(a) + len(b) - 2) + 1)
     for i, ai in enumerate(a):
-        if i > K:
-            break
         for j, bj in enumerate(b):
             if i + j > K:
                 break
@@ -249,6 +253,13 @@ class ProductFunctionSpec:
         """
         n = self.dim
         _check_series_capacity(n, K)
+        # Each factor's truncated convolution takes at most (K+1)(K+2)/2
+        # multiply-adds.
+        work = sum(map(len, self.factors)) * (K + 1) * (K + 2) // 2
+        if work > ENUMERATION_CAP:
+            raise CapacityError(
+                f"{work} convolution multiply-adds at degree {K} exceed the "
+                f"capacity cap {ENUMERATION_CAP}")
         all_w = [abs(f.w) for facs in self.factors for f in facs]
         per_coord = [self.coordinate_coefficients(i, K) for i in range(n)]
         phase = cmath.exp(1j * self.phase)
@@ -270,7 +281,7 @@ class ProductFunctionSpec:
             for facs in self.factors:
                 for f in facs:
                     C *= f.majorant_at(s)
-            tail = TailBound(C=C, q=q0, valid_from_degree=K + 1)
+            tail = TailBound(C=C, q=q0)
         return TruncatedSeries(dim=n, max_degree=K, coeffs=coeffs, tail=tail,
                                closed_form=self.eval)
 

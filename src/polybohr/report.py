@@ -43,8 +43,3 @@ class EvalReport:
         else:
             verdict = Verdict.INCONCLUSIVE
         return EvalReport(value, tail_bound, verdict, detail)
-
-    @property
-    def slack(self) -> float:
-        """Distance from value + tail to 1 (positive when HOLDS)."""
-        return 1.0 - (self.value + self.tail_bound)

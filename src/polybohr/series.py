@@ -12,6 +12,10 @@ which turns truncated majorant, radial-derivative and area sums into values
 with rigorous remainder bounds.  All radii are equal polyradii: a single
 scalar r with z ranging over the polycircle max_i |z_i| = r.
 
+Every sum over a series runs in the insertion order of its coefficient dict.
+The constructors of this package insert by ascending degree and
+colexicographically within each degree.
+
 Everything here is a pure function of immutable inputs; concurrent use needs
 no synchronisation.
 """
@@ -102,8 +106,8 @@ def multinomial_coeff(alpha: MultiIndex) -> int:
 
 @dataclass(frozen=True)
 class TailBound:
-    """Certified bound sum_{|alpha|=k} |a_alpha| <= C * k^weight * q^k for all
-    degrees k >= valid_from_degree.
+    """Certified bound sum_{|alpha|=k} |a_alpha| <= C * k^weight * q^k for
+    every degree k above the truncation of the series that carries it.
 
     ``weight`` is 0 for plainly geometric families and is bumped by one each
     time the radial derivative multiplies blocks by their degree.
@@ -111,7 +115,6 @@ class TailBound:
 
     C: float
     q: float
-    valid_from_degree: int
     weight: int = 0
 
     def __post_init__(self) -> None:
@@ -191,15 +194,6 @@ class TruncatedSeries:
     def coefficient(self, alpha: MultiIndex) -> complex:
         return self.coeffs.get(alpha, 0.0 + 0.0j)
 
-    def degrees(self) -> dict[int, list[MultiIndex]]:
-        """Support grouped by degree, colexicographic within each degree."""
-        by_degree: dict[int, list[MultiIndex]] = {}
-        for alpha in self.coeffs:
-            by_degree.setdefault(sum(alpha), []).append(alpha)
-        for block in by_degree.values():
-            block.sort(key=lambda a: tuple(reversed(a)))
-        return by_degree
-
     def tail_sum(self, r: float, start: int = 1, step: int = 1) -> float:
         """Bound for the discarded majorant mass sum_k block_k * r^k.
 
@@ -208,14 +202,14 @@ class TruncatedSeries:
         """
         if self.tail is None:
             return 0.0
-        first = max(self.max_degree + 1, self.tail.valid_from_degree, start)
+        first = max(self.max_degree + 1, start)
         first = step * ((first + step - 1) // step)
         return _weighted_geometric_sum(
             self.tail.C, self.tail.q * r, self.tail.weight, first, step)
 
 
-def zero_series(n: int, K: int = 0) -> TruncatedSeries:
-    return TruncatedSeries(dim=n, max_degree=K, coeffs={})
+def zero_series(n: int) -> TruncatedSeries:
+    return TruncatedSeries(dim=n, max_degree=0, coeffs={})
 
 
 def monomial_series(alpha: MultiIndex, coeff: complex = 1.0 + 0.0j) -> TruncatedSeries:
@@ -223,32 +217,16 @@ def monomial_series(alpha: MultiIndex, coeff: complex = 1.0 + 0.0j) -> Truncated
                            coeffs={tuple(alpha): complex(coeff)})
 
 
-def add_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum; only exact (tail-free) operands are combined."""
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch {f.dim} != {g.dim}")
-    if f.tail is not None or g.tail is not None:
-        raise ValueError("sum of series with certified tails is not supported")
-    coeffs = dict(f.coeffs)
-    for alpha, c in g.coeffs.items():
-        coeffs[alpha] = coeffs.get(alpha, 0.0 + 0.0j) + c
-    return TruncatedSeries(f.dim, max(f.max_degree, g.max_degree), coeffs)
-
-
 def eval_series(f: TruncatedSeries, z: Point) -> complex:
-    """sum_{|alpha| <= K} a_alpha z^alpha, accumulated degree by degree in
-    ascending order and colexicographically within each degree."""
+    """sum_{|alpha| <= K} a_alpha z^alpha, accumulated in insertion order."""
     if len(z) != f.dim:
         raise ValueError(f"point dimension {len(z)} != series dimension {f.dim}")
     total = 0.0 + 0.0j
-    by_degree = f.degrees()
-    for k in sorted(by_degree):
-        for alpha in by_degree[k]:
-            term = f.coeffs[alpha]
-            for zi, ai in zip(z, alpha):
-                if ai:
-                    term *= zi ** ai
-            total += term
+    for alpha, term in f.coeffs.items():
+        for zi, ai in zip(z, alpha):
+            if ai:
+                term *= zi ** ai
+        total += term
     return total
 
 
@@ -287,8 +265,7 @@ def euler_derivative(f: TruncatedSeries) -> TruncatedSeries:
     coeffs = {alpha: sum(alpha) * c for alpha, c in f.coeffs.items() if sum(alpha) >= 1}
     tail = None
     if f.tail is not None:
-        tail = TailBound(f.tail.C, f.tail.q, f.tail.valid_from_degree,
-                         f.tail.weight + 1)
+        tail = TailBound(f.tail.C, f.tail.q, f.tail.weight + 1)
     return TruncatedSeries(f.dim, f.max_degree, coeffs, tail)
 
 
@@ -308,7 +285,7 @@ def area_sum(f: TruncatedSeries, r: float) -> EvalReport:
             value += k * b * r ** (2 * k)
     tail = 0.0
     if f.tail is not None:
-        start = max(f.max_degree + 1, f.tail.valid_from_degree)
         tail = _weighted_geometric_sum(
-            f.tail.C ** 2, (f.tail.q * r) ** 2, 2 * f.tail.weight + 1, start)
+            f.tail.C ** 2, (f.tail.q * r) ** 2, 2 * f.tail.weight + 1,
+            f.max_degree + 1)
     return EvalReport.build(value, tail, detail="area")

@@ -168,7 +168,8 @@ def check_holds_below(config: SuiteConfig) -> SuiteReport:
 def check_sharpness_above(config: SuiteConfig) -> SuiteReport:
     """Search the extremal schedule for a VIOLATED witness at
     r = radius + margin_above.  Absence of a witness is a failing report,
-    never an exception."""
+    never an exception; its notes count the cases still INCONCLUSIVE at the
+    K cap, which a larger cap may resolve."""
     solved = solve(config.family)
     r = solved.radius_r + config.margin_above
     cases: list[CaseResult] = []
@@ -182,7 +183,13 @@ def check_sharpness_above(config: SuiteConfig) -> SuiteReport:
                                 rep.tail_bound, K, f"a={a!r} {rep.detail}"))
         if rep.verdict is Verdict.VIOLATED and witness is None:
             witness = a
-    notes = "" if witness is not None else "no violating schedule member found"
+    notes = ""
+    if witness is None:
+        notes = "no violating schedule member found"
+        capped = sum(c.verdict == Verdict.INCONCLUSIVE.value and c.k_used == cap
+                     for c in cases)
+        if capped:
+            notes += f"; {capped} of {len(cases)} cases INCONCLUSIVE at the K cap {cap}"
     return _make_report("sharpness-above", config.family, solved.radius_r, r,
                         cases, lambda c: witness is None, witness, notes)
 

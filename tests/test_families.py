@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from polybohr import (
     BlaschkeFactor,
+    CapacityError,
     ExtremalSpec,
     Lcg64,
     enumerate_multiindices,
@@ -22,6 +23,7 @@ from polybohr import (
     sample_schwarz_map,
     schwarz_power_map,
 )
+from polybohr import families
 
 
 class TestExtremalSeries:
@@ -80,6 +82,16 @@ class TestExtremalSeries:
             if prev_err is not None:
                 assert err <= prev_err
             prev_err = err
+
+
+    def test_multinomial_cap_is_checked_before_any_block(self, monkeypatch):
+        def refuse(alpha):
+            raise AssertionError("a block was built before the degree check")
+
+        monkeypatch.setattr(families, "multinomial_coeff", refuse)
+        with pytest.raises(CapacityError,
+                           match="^degree 61 exceeds the multinomial cap 60$"):
+            extremal_series(ExtremalSpec(0.5, 4), 100)
 
 
 class TestExtremalClosedEval:
@@ -143,6 +155,18 @@ class TestSampledFunctions:
     def test_single_factor_with_zero_pole_is_rotation_of_z(self):
         factor = BlaschkeFactor(0j)
         assert factor.coefficients(3) == [0j, -1 + 0j, 0j, 0j]
+
+    def test_convolution_work_is_capped_before_any_coefficient(self, monkeypatch):
+        spec = sample_product_spec(seed=1, n=1, factors_per_coordinate=3)
+        assert spec.series(512).max_degree == 512  # the default k_cap builds
+
+        def refuse(a, b, K):
+            raise AssertionError("a convolution ran before the capacity check")
+
+        monkeypatch.setattr(families, "_convolve_truncated", refuse)
+        # 3 factors at K = 5000 need about 3.8e7 multiply-adds
+        with pytest.raises(CapacityError, match="capacity cap"):
+            spec.series(5000)
 
     def test_deterministic_in_seed(self):
         f = sample_bounded_function(seed=42, n=2, factors_per_coordinate=2, K=6)

@@ -112,6 +112,16 @@ class TestSharpnessAbove:
         assert "no violating schedule member" in report.notes
         assert all(c.value < 0.5 for c in report.cases)
 
+    @pytest.mark.parametrize("config,suffix", [
+        (SuiteConfig(family=Classical(1), samples=2, k_cap=1),
+         "; 2 of 3 cases INCONCLUSIVE at the K cap 1"),
+        (SuiteConfig(family=AreaT(n=1, t=0.4)), ""),
+    ], ids=["k-cap-1", "area"])
+    def test_notes_tell_a_capped_run_from_a_missing_witness(self, config, suffix):
+        report = check_sharpness_above(config)
+        assert report.witness_a is None
+        assert report.notes == "no violating schedule member found" + suffix
+
     def test_values_increase_along_schedule_toward_one(self):
         # at the designated point the functional value grows with a
         report = check_sharpness_above(
