@@ -199,20 +199,18 @@ def _table_rows(parser: argparse.ArgumentParser,
             branch = "cubic" if t < 9.0 / 17.0 else "clamped"
             rows.append([t, res.radius_r, res.radius_x, branch])
         return columns, rows
-    if name == "thm2.3-grid":
-        columns = ["t", "radius_r", "radius_x", "note"]
-        rows = []
-        steps = args.t_steps
-        for i in range(steps + 1):
-            t = i / steps
-            try:
-                res = solve(ConvexMNT(m=m, n=args.n, t=t))
-                rows.append([t, res.radius_r, res.radius_x, res.multiplicity_note])
-            except NoSignChangeError as exc:
-                rows.append([t, "", "", f"no root: {exc}"])
-        return columns, rows
-    parser.error(f"unknown table {name!r}")
-    raise AssertionError
+    # thm2.3-grid, the last of TABLE_NAMES, which --name is restricted to
+    columns = ["t", "radius_r", "radius_x", "note"]
+    rows = []
+    steps = args.t_steps
+    for i in range(steps + 1):
+        t = i / steps
+        try:
+            res = solve(ConvexMNT(m=m, n=args.n, t=t))
+            rows.append([t, res.radius_r, res.radius_x, res.multiplicity_note])
+        except NoSignChangeError as exc:
+            rows.append([t, "", "", f"no root: {exc}"])
+    return columns, rows
 
 
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .series import (
@@ -105,6 +106,7 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
     if K < 0:
         raise ValueError(f"max degree must be >= 0, got {K}")
     a, n = spec.a, spec.n
+    _check_series_capacity(n, K)
     coeffs: dict[MultiIndex, complex] = {(0,) * n: complex(a)}
     if a == 0.0:
         for alpha in enumerate_multiindices(n, 1):
@@ -112,7 +114,6 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
         tail = None
         K = max(K, 1)
     else:
-        _check_series_capacity(n, K)
         if K > MULTINOMIAL_DEGREE_CAP:
             # the first degree multinomial_coeff would refuse
             raise CapacityError(
@@ -158,12 +159,16 @@ class BlaschkeFactor:
         return (abs(self.w) ** 2 - 1.0) / (d * d)
 
     def coefficients(self, K: int) -> list[complex]:
-        out = [complex(self.w)]
-        if K >= 1:
-            s = -(1.0 - abs(self.w) ** 2)
-            wc = self.w.conjugate()
-            for k in range(1, K + 1):
-                out.append(s * wc ** (k - 1))
+        return self.multiply([1.0 + 0.0j] + [0j] * K)
+
+    def multiply(self, c: list[complex]) -> list[complex]:
+        """(sum_k c_k z^k) B_w(z) up to degree len(c) - 1 in O(len(c)): entry k
+        is w c_k - (1-|w|^2) S_k, S_k = conj(w) S_{k-1} + c_{k-1}, S_0 = 0."""
+        w, wc, scale = self.w, self.w.conjugate(), 1.0 - abs(self.w) ** 2
+        out, acc = [w * c[0]], 0j
+        for k in range(1, len(c)):
+            acc = wc * acc + c[k - 1]
+            out.append(w * c[k] - scale * acc)
         return out
 
     def majorant_at(self, t: float) -> float:
@@ -174,13 +179,12 @@ class BlaschkeFactor:
         return aw + (1.0 - aw * aw) * t / (1.0 - aw * t)
 
 
-def _convolve_truncated(a: list[complex], b: list[complex], K: int) -> list[complex]:
-    out = [0.0 + 0.0j] * (min(K, len(a) + len(b) - 2) + 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            if i + j > K:
-                break
-            out[i + j] += ai * bj
+def _convolve_degrees(vectors: list[list], K: int) -> list:
+    """Entry k holds the sum over i_1 + ... + i_n = k of prod_j v_j[i_j], for
+    one-variable vectors of length K + 1: the degree-k part of their product."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = [sum(map(operator.mul, out[:k + 1], v[k::-1])) for k in range(K + 1)]
     return out
 
 
@@ -239,51 +243,53 @@ class ProductFunctionSpec:
         return phase * total
 
     def coordinate_coefficients(self, i: int, K: int) -> list[complex]:
-        coeffs = [1.0 + 0.0j]
+        coeffs = [1.0 + 0.0j] + [0j] * K
         for f in self.factors[i]:
-            coeffs = _convolve_truncated(coeffs, f.coefficients(K), K)
+            coeffs = f.multiply(coeffs)
         return coeffs
 
     def series(self, K: int) -> TruncatedSeries:
         """Truncation to total degree K with a certified geometric tail.
 
-        With q0 = (1 + max|w|)/2 strictly above every pole modulus, the
-        Cauchy bound on the product of factor majorants at s = 1/q0 gives
-        block_k <= C q0^k for every k, C = prod_{ij} M_{w_ij}(1/q0).
+        The graded data are degree convolutions of the per-coordinate |c|,
+        |c|^2 and c_j z_i^j vectors.  With q0 = (1 + max|w|)/2 strictly above
+        every pole modulus, the Cauchy bound on the product of factor
+        majorants at s = 1/q0 gives block_k <= C q0^k for every k,
+        C = prod_{ij} M_{w_ij}(1/q0).
         """
         n = self.dim
         _check_series_capacity(n, K)
-        # Each factor's truncated convolution takes at most (K+1)(K+2)/2
-        # multiply-adds.
-        work = sum(map(len, self.factors)) * (K + 1) * (K + 2) // 2
+        # Each factor's recurrence takes K + 1 multiply-adds, and each of the
+        # n - 1 convolution steps of the |c| and |c|^2 vectors (K+1)(K+2)/2.
+        work = sum(map(len, self.factors)) * (K + 1) + (n - 1) * (K + 1) * (K + 2)
         if work > ENUMERATION_CAP:
             raise CapacityError(
-                f"{work} convolution multiply-adds at degree {K} exceed the "
-                f"capacity cap {ENUMERATION_CAP}")
+                f"{work} factor and convolution multiply-adds at degree {K} "
+                f"exceed the capacity cap {ENUMERATION_CAP}")
         all_w = [abs(f.w) for facs in self.factors for f in facs]
         per_coord = [self.coordinate_coefficients(i, K) for i in range(n)]
         phase = cmath.exp(1j * self.phase)
-        coeffs: dict[MultiIndex, complex] = {}
-        for k in range(K + 1):
-            for alpha in enumerate_multiindices(n, k):
-                c = phase
-                for i, ai in enumerate(alpha):
-                    ci = per_coord[i]
-                    c *= ci[ai] if ai < len(ci) else 0.0
-                if c != 0:
-                    coeffs[alpha] = c
+
+        def parts(z: Point) -> list[complex]:
+            return [phase * p for p in _convolve_degrees(
+                [[c * zi ** j for j, c in enumerate(ci)]
+                 for ci, zi in zip(per_coord, z)], K)]
+
+        def coeffs() -> dict[MultiIndex, complex]:
+            out = {alpha: math.prod((ci[ai] for ci, ai in zip(per_coord, alpha)), start=phase)
+                   for k in range(K + 1) for alpha in enumerate_multiindices(n, k)}
+            return {alpha: c for alpha, c in out.items() if c != 0}
+
         if not all_w:
             tail = None  # a unimodular constant, exact
         else:
             q0 = (1.0 + max(all_w)) / 2.0
-            s = 1.0 / q0
-            C = 1.0
-            for facs in self.factors:
-                for f in facs:
-                    C *= f.majorant_at(s)
-            tail = TailBound(C=C, q=q0)
-        return TruncatedSeries(dim=n, max_degree=K, coeffs=coeffs, tail=tail,
-                               closed_form=self.eval)
+            tail = TailBound(C=math.prod(f.majorant_at(1.0 / q0) for facs in self.factors
+                                         for f in facs), q=q0)
+        return TruncatedSeries(n, K, coeffs, tail, self.eval, graded=(
+            _convolve_degrees([[abs(c) for c in ci] for ci in per_coord], K),
+            _convolve_degrees([[abs(c) ** 2 for c in ci] for ci in per_coord], K),
+            parts))
 
 
 def sample_product_spec(seed: int, n: int, factors_per_coordinate: int) -> ProductFunctionSpec:

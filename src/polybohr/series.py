@@ -1,10 +1,12 @@
 """Truncated multivariate power series with certified geometric tails.
 
-A function holomorphic near the origin of C^n is represented by its
-coefficients a_alpha for multi-indices alpha with degree |alpha| <= K,
-stored sparsely as a dict keyed by exponent tuples.  Absent keys are zero.
-An optional :class:`TailBound` certifies that every discarded degree block
-satisfies
+A function holomorphic near the origin of C^n is held up to total degree K
+by its graded data: for each degree k the block sum_{|alpha|=k} |a_alpha|,
+the squared block sum_{|alpha|=k} |a_alpha|^2 and the degree-k part P_k(z)
+at a point.  Every functional reads only these.  The coefficients a_alpha
+are also available as a dict keyed by exponent tuples (absent keys are
+zero), which product series build only when it is asked for.  An optional
+:class:`TailBound` certifies that every discarded degree block satisfies
 
     sum_{|alpha|=k} |a_alpha|  <=  C * k^weight * q^k      for all k > K,
 
@@ -12,9 +14,9 @@ which turns truncated majorant, radial-derivative and area sums into values
 with rigorous remainder bounds.  All radii are equal polyradii: a single
 scalar r with z ranging over the polycircle max_i |z_i| = r.
 
-Every sum over a series runs in the insertion order of its coefficient dict.
-The constructors of this package insert by ascending degree and
-colexicographically within each degree.
+Every sum over a series runs by ascending degree, and over a dict's terms in
+insertion order within each degree.  The package's dicts are inserted by
+ascending degree and colexicographically within each degree.
 
 Everything here is a pure function of immutable inputs; concurrent use needs
 no synchronisation.
@@ -23,13 +25,17 @@ no synchronisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 from .report import EvalReport
 
 MultiIndex = tuple[int, ...]
 Point = tuple[complex, ...]
+CoeffDict = dict[MultiIndex, complex]
+# blocks, squared blocks, and the function z -> [P_0(z), ..., P_K(z)]
+Graded = tuple[list[float], list[float], Callable[[Point], list[complex]]]
 
 # Degree cap for exact multinomial coefficients; far beyond any truncation
 # used by the solvers and suites.
@@ -161,35 +167,42 @@ def _weighted_geometric_sum(c: float, x: float, weight: int, start: int,
     return total + first / (1.0 - ratio)
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Finitely supported coefficient map up to total degree ``max_degree``.
+    """A series up to total degree ``max_degree``, held by its graded data:
+    ``blocks[k]``, ``squared[k]`` and ``parts(z)[k]`` = P_k(z), k <= max_degree.
 
-    ``closed_form``, when present, evaluates the underlying function exactly
-    at a point; evaluation-type functionals prefer it over the truncated sum.
+    A dict ``coeffs`` is validated and the graded data derived from it once.
+    The package's constructors pass ``graded=(blocks, squared, parts)`` and,
+    as ``coeffs``, a function that builds the dict on first access.
+    ``closed_form``, when present, evaluates the function exactly at a point;
+    evaluation-type functionals prefer it over the truncated sum.
     """
 
-    dim: int
-    max_degree: int
-    coeffs: dict[MultiIndex, complex]
-    tail: Optional[TailBound] = None
-    closed_form: Optional[Callable[[Point], complex]] = field(
-        default=None, compare=False)
+    def __init__(self, dim: int, max_degree: int,
+                 coeffs: CoeffDict | Callable[[], CoeffDict],
+                 tail: Optional[TailBound] = None,
+                 closed_form: Optional[Callable[[Point], complex]] = None,
+                 graded: Optional[Graded] = None) -> None:
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+        if max_degree < 0:
+            raise ValueError(f"max degree must be >= 0, got {max_degree}")
+        if max_degree + 1 > ENUMERATION_CAP:
+            raise CapacityError(f"{max_degree + 1} degree blocks exceed the capacity cap")
+        self.dim, self.max_degree, self.tail = dim, max_degree, tail
+        self.closed_form, self._coeffs = closed_form, coeffs
+        self.blocks, self.squared, self.parts = graded or _graded_from_dict(
+            dim, max_degree, coeffs)
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if self.max_degree < 0:
-            raise ValueError(f"max degree must be >= 0, got {self.max_degree}")
-        for alpha in self.coeffs:
-            if len(alpha) != self.dim:
-                raise ValueError(
-                    f"index {alpha} has dimension {len(alpha)}, expected {self.dim}")
-            if any(a < 0 for a in alpha):
-                raise ValueError(f"negative exponent in {alpha}")
-            if sum(alpha) > self.max_degree:
-                raise ValueError(
-                    f"index {alpha} exceeds max degree {self.max_degree}")
+    @cached_property
+    def coeffs(self) -> CoeffDict:
+        return self._coeffs() if callable(self._coeffs) else self._coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return ((self.dim, self.max_degree, self.coeffs, self.tail)
+                == (other.dim, other.max_degree, other.coeffs, other.tail))
 
     def coefficient(self, alpha: MultiIndex) -> complex:
         return self.coeffs.get(alpha, 0.0 + 0.0j)
@@ -208,6 +221,32 @@ class TruncatedSeries:
             self.tail.C, self.tail.q * r, self.tail.weight, first, step)
 
 
+def _graded_from_dict(dim: int, K: int, coeffs: CoeffDict) -> Graded:
+    """Validate a dict and derive its graded data, each degree summed in
+    insertion order."""
+    blocks, squared = [0.0] * (K + 1), [0.0] * (K + 1)
+    for alpha, c in coeffs.items():
+        if len(alpha) != dim:
+            raise ValueError(f"index {alpha} has dimension {len(alpha)}, expected {dim}")
+        if any(a < 0 for a in alpha):
+            raise ValueError(f"negative exponent in {alpha}")
+        if sum(alpha) > K:
+            raise ValueError(f"index {alpha} exceeds max degree {K}")
+        blocks[sum(alpha)] += abs(c)
+        squared[sum(alpha)] += abs(c) ** 2
+
+    def parts(z: Point) -> list[complex]:
+        out = [0j] * (K + 1)
+        for alpha, term in coeffs.items():
+            for zi, ai in zip(z, alpha):
+                if ai:
+                    term *= zi ** ai
+            out[sum(alpha)] += term
+        return out
+
+    return blocks, squared, parts
+
+
 def zero_series(n: int) -> TruncatedSeries:
     return TruncatedSeries(dim=n, max_degree=0, coeffs={})
 
@@ -218,32 +257,20 @@ def monomial_series(alpha: MultiIndex, coeff: complex = 1.0 + 0.0j) -> Truncated
 
 
 def eval_series(f: TruncatedSeries, z: Point) -> complex:
-    """sum_{|alpha| <= K} a_alpha z^alpha, accumulated in insertion order."""
+    """sum_{k <= K} P_k(z), accumulated by ascending degree."""
     if len(z) != f.dim:
         raise ValueError(f"point dimension {len(z)} != series dimension {f.dim}")
-    total = 0.0 + 0.0j
-    for alpha, term in f.coeffs.items():
-        for zi, ai in zip(z, alpha):
-            if ai:
-                term *= zi ** ai
-        total += term
-    return total
+    return sum(f.parts(z), 0j)
 
 
 def majorant_block_sums(f: TruncatedSeries) -> list[float]:
     """Entry k holds sum_{|alpha|=k} |a_alpha| for 0 <= k <= max_degree."""
-    blocks = [0.0] * (f.max_degree + 1)
-    for alpha, c in f.coeffs.items():
-        blocks[sum(alpha)] += abs(c)
-    return blocks
+    return list(f.blocks)
 
 
 def squared_block_sums(f: TruncatedSeries) -> list[float]:
     """Entry k holds sum_{|alpha|=k} |a_alpha|^2."""
-    blocks = [0.0] * (f.max_degree + 1)
-    for alpha, c in f.coeffs.items():
-        blocks[sum(alpha)] += abs(c) ** 2
-    return blocks
+    return list(f.squared)
 
 
 def majorant_sum(f: TruncatedSeries, r: float) -> EvalReport:
@@ -260,13 +287,16 @@ def majorant_sum(f: TruncatedSeries, r: float) -> EvalReport:
 
 def euler_derivative(f: TruncatedSeries) -> TruncatedSeries:
     """The radial derivative sum_k z_k d/dz_k: multiplies the degree-k part
-    by k.  The tail weight of the result is raised by one; its mass is later
-    bounded by explicit summation rather than a loosened geometric constant."""
-    coeffs = {alpha: sum(alpha) * c for alpha, c in f.coeffs.items() if sum(alpha) >= 1}
-    tail = None
-    if f.tail is not None:
-        tail = TailBound(f.tail.C, f.tail.q, f.tail.weight + 1)
-    return TruncatedSeries(f.dim, f.max_degree, coeffs, tail)
+    and block by k and the squared block by k^2.  The tail weight of the
+    result is raised by one; its mass is later bounded by explicit summation
+    rather than a loosened geometric constant."""
+    tail = None if f.tail is None else TailBound(f.tail.C, f.tail.q, f.tail.weight + 1)
+    return TruncatedSeries(
+        f.dim, f.max_degree,
+        lambda: {alpha: sum(alpha) * c for alpha, c in f.coeffs.items() if sum(alpha) >= 1},
+        tail, graded=([k * b for k, b in enumerate(f.blocks)],
+                      [k * k * b for k, b in enumerate(f.squared)],
+                      lambda z: [k * p for k, p in enumerate(f.parts(z))]))
 
 
 def area_sum(f: TruncatedSeries, r: float) -> EvalReport:

@@ -93,6 +93,12 @@ class TestExtremalSeries:
                            match="^degree 61 exceeds the multinomial cap 60$"):
             extremal_series(ExtremalSpec(0.5, 4), 100)
 
+    def test_a_zero_support_is_checked(self):
+        with pytest.raises(CapacityError, match="exceeds the capacity cap"):
+            extremal_series(ExtremalSpec(0.0, 1), 10 ** 9)
+        with pytest.raises(CapacityError, match="exceeds the capacity cap"):
+            extremal_series(ExtremalSpec(0.0, 4), 200)
+
 
 class TestExtremalClosedEval:
     def test_at_origin(self):
@@ -158,15 +164,20 @@ class TestSampledFunctions:
 
     def test_convolution_work_is_capped_before_any_coefficient(self, monkeypatch):
         spec = sample_product_spec(seed=1, n=1, factors_per_coordinate=3)
-        assert spec.series(512).max_degree == 512  # the default k_cap builds
+        assert spec.series(5000).max_degree == 5000  # 15,003 multiply-adds
 
-        def refuse(a, b, K):
-            raise AssertionError("a convolution ran before the capacity check")
+        def refuse(*args):
+            raise AssertionError("a coefficient was computed before the capacity check")
 
-        monkeypatch.setattr(families, "_convolve_truncated", refuse)
-        # 3 factors at K = 5000 need about 3.8e7 multiply-adds
-        with pytest.raises(CapacityError, match="capacity cap"):
-            spec.series(5000)
+        monkeypatch.setattr(BlaschkeFactor, "multiply", refuse)
+        monkeypatch.setattr(families, "_convolve_degrees", refuse)
+        # 3 factor recurrences at K = 4,000,000 take 12,000,003 multiply-adds
+        with pytest.raises(CapacityError, match="^12000003 factor and convolution"):
+            spec.series(4_000_000)
+        # at n = 2, K = 4000 the support C(4002, 2) = 8,006,001 is under the
+        # cap, but the two degree convolutions take 4001 * 4002 multiply-adds
+        with pytest.raises(CapacityError, match="^16020004 factor and convolution"):
+            sample_product_spec(seed=1, n=2, factors_per_coordinate=1).series(4000)
 
     def test_deterministic_in_seed(self):
         f = sample_bounded_function(seed=42, n=2, factors_per_coordinate=2, K=6)

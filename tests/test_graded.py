@@ -1,0 +1,115 @@
+"""Graded series data (degree blocks, squared blocks and degree-k parts)
+against brute-force sums over the multi-index dict, and the hold-below hot
+path's independence from that dict."""
+
+import cmath
+import math
+
+import pytest
+
+from polybohr import (
+    AreaT,
+    Classical,
+    EulerLambda,
+    FromDegree,
+    Lcg64,
+    MultiplesOf,
+    SuiteConfig,
+    TruncatedSeries,
+    check_holds_below,
+    euler_derivative,
+    eval_series,
+    functional_A,
+    functional_B,
+    functional_C,
+    functional_D,
+    functional_E,
+    majorant_block_sums,
+    sample_product_spec,
+    schwarz_power_map,
+)
+from polybohr import families
+from polybohr.series import squared_block_sums
+
+REL = 1e-13
+
+
+def seeded_point(seed, n, radius):
+    rng = Lcg64(seed)
+    return tuple(rng.uniform(0.0, radius) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+                 for _ in range(n))
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= REL * abs(want), (got, want)
+
+
+def assert_matches_brute_force(f, z):
+    """The graded data of f and of its Euler derivative against direct sums
+    over f.coeffs."""
+    blocks = [0.0] * (f.max_degree + 1)
+    squared = [0.0] * (f.max_degree + 1)
+    value = euler = 0j
+    for alpha, c in f.coeffs.items():
+        k = sum(alpha)
+        blocks[k] += abs(c)
+        squared[k] += abs(c) ** 2
+        term = c * math.prod(zi ** ai for zi, ai in zip(z, alpha))
+        value += term
+        euler += k * term
+    df = euler_derivative(f)
+    for k in range(f.max_degree + 1):
+        assert_close(majorant_block_sums(f)[k], blocks[k])
+        assert_close(squared_block_sums(f)[k], squared[k])
+        assert_close(majorant_block_sums(df)[k], k * blocks[k])
+        assert_close(squared_block_sums(df)[k], k * k * squared[k])
+    assert_close(eval_series(f, z), value)
+    assert_close(eval_series(df, z), euler)
+
+
+class TestGradedParity:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("factors", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [3, 71])
+    def test_product_series(self, n, factors, seed):
+        f = sample_product_spec(seed, n, factors).series(24)
+        assert_matches_brute_force(f, seeded_point(seed, n, 0.6))
+
+    def test_unimodular_constant(self):
+        f = sample_product_spec(5, 3, 0).series(6)
+        assert list(f.coeffs) == [(0, 0, 0)]
+        assert majorant_block_sums(f)[1:] == [0.0] * 6
+        assert_matches_brute_force(f, seeded_point(5, 3, 0.6))
+
+    def test_hand_built_dict_out_of_degree_order(self):
+        coeffs = {(2, 1): 0.3 - 0.1j, (0, 0): 0.5 + 0j, (1, 0): -0.2j,
+                  (0, 3): 0.1 + 0j, (1, 1): 0.25 + 0.05j, (0, 1): 0.4 + 0j}
+        f = TruncatedSeries(dim=2, max_degree=4, coeffs=coeffs)
+        assert_matches_brute_force(f, seeded_point(9, 2, 0.8))
+
+
+class TestHoldBelowNeedsNoDict:
+    @pytest.fixture(autouse=True)
+    def refuse_multi_indices(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the hot path enumerated multi-indices")
+
+        monkeypatch.setattr(families, "enumerate_multiindices", refuse)
+
+    @pytest.mark.parametrize("family", [Classical(3), EulerLambda(1, 2.0), AreaT(2, 0.8)],
+                             ids=repr)
+    def test_holds_below(self, family):
+        report = check_holds_below(SuiteConfig(family=family, samples=8, seed=11))
+        assert report.total == 8
+
+    def test_functionals_on_a_4_24_product(self):
+        f = sample_product_spec(29, 4, 3).series(24)
+        z = seeded_point(8, 4, 0.05)
+        omega = schwarz_power_map(4, 2)
+        reports = [functional_A(f, 0.05),
+                   functional_B(f, omega, z, FromDegree(2)),
+                   functional_B(f, omega, z, MultiplesOf(2), p=2),
+                   functional_C(f, omega, z, 0.5),
+                   functional_D(f, z, 1.5),
+                   functional_E(f, 0.05, 0.4)]
+        assert all(math.isfinite(rep.value + rep.tail_bound) for rep in reports)

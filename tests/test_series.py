@@ -102,6 +102,21 @@ class TestMultinomial:
         assert multinomial_coeff((60,)) == 1
 
 
+class TestConstruction:
+    def test_dict_is_validated(self):
+        with pytest.raises(ValueError, match="dimension 1, expected 2"):
+            TruncatedSeries(dim=2, max_degree=3, coeffs={(1,): 1 + 0j})
+        with pytest.raises(ValueError, match="negative exponent"):
+            TruncatedSeries(dim=2, max_degree=3, coeffs={(1, -1): 1 + 0j})
+        with pytest.raises(ValueError, match="exceeds max degree 3"):
+            TruncatedSeries(dim=2, max_degree=3, coeffs={(2, 2): 1 + 0j})
+
+    def test_degree_count_is_capped_before_any_block(self):
+        # a vector of 10**9 + 1 blocks is refused, not allocated
+        with pytest.raises(CapacityError, match="^1000000001 degree blocks exceed"):
+            TruncatedSeries(dim=1, max_degree=10 ** 9, coeffs={(0,): 1 + 0j})
+
+
 class TestEvalSeries:
     def test_constant(self):
         f = TruncatedSeries(dim=2, max_degree=0, coeffs={(0, 0): 0.7 + 0.2j})
