@@ -20,6 +20,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 
 from .series import (
     CapacityError,
@@ -29,9 +30,10 @@ from .series import (
     Point,
     TailBound,
     TruncatedSeries,
+    colex_multinomials,
+    dict_parts,
     enumerate_multiindices,
     inf_norm,
-    multinomial_coeff,
 )
 
 # Largest pole-parameter modulus the sampler draws; keeps q = (1+|w|)/2 of the
@@ -99,7 +101,8 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
     """Expansion a - (1-a^2) sum_{k>=1} a^{k-1} (z_1+...+z_n)^k up to degree K.
 
     The coefficient at alpha with |alpha| = k >= 1 is
-    -(1-a^2) a^{k-1} (k!/alpha!).  For a > 0 the degree blocks equal
+    -(1-a^2) a^{k-1} (k!/alpha!).  For a > 0 one colex pass per degree inserts
+    each coefficient and sums the degree's blocks, which equal
     (1-a^2) a^{k-1} n^k, certified exactly by TailBound(C=(1-a^2)/a, q=a n);
     for a = 0 the series terminates at degree 1 and carries no tail.
     """
@@ -108,26 +111,26 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
     a, n = spec.a, spec.n
     _check_series_capacity(n, K)
     coeffs: dict[MultiIndex, complex] = {(0,) * n: complex(a)}
+    closed_form = partial(extremal_closed_eval, spec)
     if a == 0.0:
         for alpha in enumerate_multiindices(n, 1):
             coeffs[alpha] = -1.0 + 0.0j
-        tail = None
-        K = max(K, 1)
-    else:
-        if K > MULTINOMIAL_DEGREE_CAP:
-            # the first degree multinomial_coeff would refuse
-            raise CapacityError(
-                f"degree {MULTINOMIAL_DEGREE_CAP + 1} exceeds the multinomial "
-                f"cap {MULTINOMIAL_DEGREE_CAP}")
-        scale = -(1.0 - a * a)
-        for k in range(1, K + 1):
-            ak = scale * a ** (k - 1)
-            for alpha in enumerate_multiindices(n, k):
-                coeffs[alpha] = ak * multinomial_coeff(alpha)
-        tail = TailBound(C=(1.0 - a * a) / a, q=a * n)
-    return TruncatedSeries(
-        dim=n, max_degree=K, coeffs=coeffs, tail=tail,
-        closed_form=lambda z, _s=spec: extremal_closed_eval(_s, z))
+        return TruncatedSeries(n, max(K, 1), coeffs, None, closed_form)
+    if K > MULTINOMIAL_DEGREE_CAP:
+        raise CapacityError(
+            f"degree {MULTINOMIAL_DEGREE_CAP + 1} exceeds the multinomial "
+            f"cap {MULTINOMIAL_DEGREE_CAP}")
+    blocks = [abs(complex(a))] + [0.0] * K
+    squared = [abs(complex(a)) ** 2] + [0.0] * K
+    scale = -(1.0 - a * a)
+    for k in range(1, K + 1):
+        ak = scale * a ** (k - 1)
+        for alpha, m in colex_multinomials(n, k):
+            coeffs[alpha] = c = ak * m
+            blocks[k] += abs(c)
+            squared[k] += abs(c) ** 2
+    return TruncatedSeries(n, K, coeffs, TailBound((1.0 - a * a) / a, a * n), closed_form,
+                           graded=(blocks, squared, partial(dict_parts, coeffs, K)))
 
 
 def _check_series_capacity(n: int, K: int) -> None:

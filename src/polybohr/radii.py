@@ -44,14 +44,14 @@ class NoSignChangeError(ValueError):
 def bracketed_bisection(g: Callable[[float], float], lo: float, hi: float,
                         tol: float = BISECTION_TOL) -> tuple[float, float, float]:
     """Root of g on [lo, hi] by bisection; returns (root, lo, hi) with the
-    final bracket.  Requires a strict sign change g(lo) g(hi) < 0;
-    the interval shrinks to width <= tol within at most 60 iterations."""
+    final bracket.  Requires a strict sign change, tested without multiplying
+    (a product can underflow); at most 60 iterations reach width <= tol."""
     glo, ghi = g(lo), g(hi)
     if glo == 0.0:
         return lo, lo, hi
     if ghi == 0.0:
         return hi, lo, hi
-    if glo * ghi > 0.0:
+    if (glo > 0.0 and ghi > 0.0) or (glo < 0.0 and ghi < 0.0):
         raise NoSignChangeError(
             f"g({lo}) = {glo} and g({hi}) = {ghi} have the same sign")
     for _ in range(BISECTION_MAX_ITER):
@@ -61,7 +61,7 @@ def bracketed_bisection(g: Callable[[float], float], lo: float, hi: float,
         gm = g(mid)
         if gm == 0.0:
             return mid, lo, hi
-        if glo * gm < 0.0:
+        if glo < 0.0 < gm or gm < 0.0 < glo:
             hi, ghi = mid, gm
         else:
             lo, glo = mid, gm
@@ -83,7 +83,7 @@ def min_positive_root(g: Callable[[float], float],
         x, v = i * h, g(i * h)
         # An exact zero at the high end without a sign change (a boundary
         # double root) is not a crossing; it surfaces through the error path.
-        crossing = prev_v * v < 0.0 or (v == 0.0 and i < MIN_ROOT_GRID)
+        crossing = prev_v < 0.0 < v or v < 0.0 < prev_v or (v == 0.0 and i < MIN_ROOT_GRID)
         if crossing:
             if first is None:
                 first = (prev_x, x)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, Optional
 
 from .report import EvalReport
@@ -78,16 +78,22 @@ def enumerate_multiindices(n: int, k: int) -> list[MultiIndex]:
         raise CapacityError(
             f"C({k + n - 1},{n - 1}) = {count} multi-indices exceeds the "
             f"capacity cap {ENUMERATION_CAP}")
-    return list(_colex(n, k))
+    return [alpha for alpha, _ in colex_multinomials(n, k)]
 
 
-def _colex(n: int, k: int) -> Iterator[MultiIndex]:
+def colex_multinomials(n: int, k: int) -> Iterator[tuple[MultiIndex, int]]:
+    """Stream (alpha, k!/alpha!) over dimension n and degree k in colex order,
+    the exact multinomial carried as M(head + (last,)) = C(k, last) M(head)."""
     if n == 1:
-        yield (k,)
+        yield (k,), 1
         return
     for last in range(k + 1):
-        for head in _colex(n - 1, k - last):
-            yield head + (last,)
+        binom = math.comb(k, last)
+        if n == 2:
+            yield (k - last, last), binom
+        else:
+            for head, m in colex_multinomials(n - 1, k - last):
+                yield head + (last,), binom * m
 
 
 def multinomial_coeff(alpha: MultiIndex) -> int:
@@ -171,9 +177,9 @@ class TruncatedSeries:
     """A series up to total degree ``max_degree``, held by its graded data:
     ``blocks[k]``, ``squared[k]`` and ``parts(z)[k]`` = P_k(z), k <= max_degree.
 
-    A dict ``coeffs`` is validated and the graded data derived from it once.
-    The package's constructors pass ``graded=(blocks, squared, parts)`` and,
-    as ``coeffs``, a function that builds the dict on first access.
+    A hand-built dict ``coeffs`` is validated and its graded data derived
+    once.  The package's constructors pass ``graded=(blocks, squared, parts)``
+    with their dict, or a function that builds the dict on first access.
     ``closed_form``, when present, evaluates the function exactly at a point;
     evaluation-type functionals prefer it over the truncated sum.
     """
@@ -234,17 +240,23 @@ def _graded_from_dict(dim: int, K: int, coeffs: CoeffDict) -> Graded:
             raise ValueError(f"index {alpha} exceeds max degree {K}")
         blocks[sum(alpha)] += abs(c)
         squared[sum(alpha)] += abs(c) ** 2
+    return blocks, squared, partial(dict_parts, coeffs, K)
 
-    def parts(z: Point) -> list[complex]:
-        out = [0j] * (K + 1)
-        for alpha, term in coeffs.items():
-            for zi, ai in zip(z, alpha):
-                if ai:
-                    term *= zi ** ai
-            out[sum(alpha)] += term
-        return out
 
-    return blocks, squared, parts
+def dict_parts(coeffs: CoeffDict, K: int, z: Point) -> list[complex]:
+    """[P_0(z), ..., P_K(z)] of a dict of degree <= K: each term times the
+    nonzero z_i ** alpha_i in coordinate order, from power tables."""
+    powers = [[zi ** j for j in range(K + 1)] for zi in z]
+    out = [0j] * (K + 1)
+    for alpha, term in coeffs.items():
+        i = k = 0
+        for ai in alpha:
+            if ai:
+                term *= powers[i][ai]
+                k += ai
+            i += 1
+        out[k] += term
+    return out
 
 
 def zero_series(n: int) -> TruncatedSeries:

@@ -85,10 +85,10 @@ class TestExtremalSeries:
 
 
     def test_multinomial_cap_is_checked_before_any_block(self, monkeypatch):
-        def refuse(alpha):
+        def refuse(n, k):
             raise AssertionError("a block was built before the degree check")
 
-        monkeypatch.setattr(families, "multinomial_coeff", refuse)
+        monkeypatch.setattr(families, "colex_multinomials", refuse)
         with pytest.raises(CapacityError,
                            match="^degree 61 exceeds the multinomial cap 60$"):
             extremal_series(ExtremalSpec(0.5, 4), 100)

@@ -1,6 +1,7 @@
 """Graded series data (degree blocks, squared blocks and degree-k parts)
-against brute-force sums over the multi-index dict, and the hold-below hot
-path's independence from that dict."""
+against brute-force sums over the multi-index dict, the streamed extremal
+build against its definition bit for bit, and the hold-below hot path's
+independence from that dict."""
 
 import cmath
 import math
@@ -11,20 +12,24 @@ from polybohr import (
     AreaT,
     Classical,
     EulerLambda,
+    ExtremalSpec,
     FromDegree,
     Lcg64,
     MultiplesOf,
     SuiteConfig,
     TruncatedSeries,
     check_holds_below,
+    enumerate_multiindices,
     euler_derivative,
     eval_series,
+    extremal_series,
     functional_A,
     functional_B,
     functional_C,
     functional_D,
     functional_E,
     majorant_block_sums,
+    multinomial_coeff,
     sample_product_spec,
     schwarz_power_map,
 )
@@ -75,6 +80,13 @@ class TestGradedParity:
         f = sample_product_spec(seed, n, factors).series(24)
         assert_matches_brute_force(f, seeded_point(seed, n, 0.6))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.99])
+    @pytest.mark.parametrize("K", [0, 1, 24])
+    def test_extremal_series(self, n, a, K):
+        f = extremal_series(ExtremalSpec(a, n), K)
+        assert_matches_brute_force(f, seeded_point(K + n, n, 0.6 / n))
+
     def test_unimodular_constant(self):
         f = sample_product_spec(5, 3, 0).series(6)
         assert list(f.coeffs) == [(0, 0, 0)]
@@ -86,6 +98,42 @@ class TestGradedParity:
                   (0, 3): 0.1 + 0j, (1, 1): 0.25 + 0.05j, (0, 1): 0.4 + 0j}
         f = TruncatedSeries(dim=2, max_degree=4, coeffs=coeffs)
         assert_matches_brute_force(f, seeded_point(9, 2, 0.8))
+
+
+def bits(v):
+    return type(v).__name__, float(v.real).hex(), float(v.imag).hex()
+
+
+class TestExtremalBitIdentity:
+    """The streamed extremal build gives, bit for bit, the series of its
+    definition: keys in enumeration order, values ak * multinomial_coeff,
+    blocks summed in insertion order and parts multiplied term by term."""
+
+    @pytest.mark.parametrize("n,K", [(2, 48), (3, 28), (4, 24), (3, 16), (1, 60)])
+    @pytest.mark.parametrize("a", [0.37, 0.999])
+    def test_matches_definition(self, n, K, a):
+        f = extremal_series(ExtremalSpec(a, n), K)
+        want = {(0,) * n: complex(a)}
+        for k in range(1, K + 1):
+            ak = -(1.0 - a * a) * a ** (k - 1)
+            for alpha in enumerate_multiindices(n, k):
+                want[alpha] = ak * multinomial_coeff(alpha)
+        assert list(f.coeffs) == list(want)
+        assert [bits(c) for c in f.coeffs.values()] == [bits(c) for c in want.values()]
+        blocks, squared = [0.0] * (K + 1), [0.0] * (K + 1)
+        for alpha, c in want.items():
+            blocks[sum(alpha)] += abs(c)
+            squared[sum(alpha)] += abs(c) ** 2
+        assert [bits(b) for b in f.blocks] == [bits(b) for b in blocks]
+        assert [bits(b) for b in f.squared] == [bits(b) for b in squared]
+        for z in (seeded_point(n + K, n, 0.9 / n), tuple(0.1 * (i + 1) for i in range(n))):
+            parts = [0j] * (K + 1)
+            for alpha, term in want.items():
+                for zi, ai in zip(z, alpha):
+                    if ai:
+                        term *= zi ** ai
+                parts[sum(alpha)] += term
+            assert [bits(p) for p in f.parts(z)] == [bits(p) for p in parts]
 
 
 class TestHoldBelowNeedsNoDict:

@@ -49,6 +49,13 @@ class TestBisection:
         root, lo, hi = bracketed_bisection(g, 0.0, 1.0)
         assert hi - lo <= 1e-14
 
+    def test_tiny_values_keep_their_signs(self):
+        # g(lo) * g(mid) underflows to -0.0, which a product test reads as
+        # "no sign change" on every step
+        root, lo, hi = bracketed_bisection(lambda x: 1e-200 * (x - 0.3), 0.0, 1.0)
+        assert root == pytest.approx(0.3, abs=1e-13)
+        assert lo <= 0.3 <= hi
+
 
 class TestMinPositiveRoot:
     def test_two_root_synthetic(self):
@@ -60,6 +67,13 @@ class TestMinPositiveRoot:
         root, _, _, note = min_positive_root(lambda x: 0.3 - x, 1.0)
         assert root == pytest.approx(0.3, abs=1e-12)
         assert "no further sign changes" in note
+
+    def test_tiny_values_keep_their_signs(self):
+        # the root is off the scan grid, so no exact zero stands in for the
+        # underflowing products
+        root, lo, hi, _ = min_positive_root(lambda x: 1e-200 * (x - 1 / 3), 1.0)
+        assert root == pytest.approx(1 / 3, abs=1e-13)
+        assert lo <= 1 / 3 <= hi
 
     def test_no_sign_change_reports_grid(self):
         with pytest.raises(NoSignChangeError) as err:
