@@ -9,13 +9,14 @@ Every command writes a single structured record (JSON, LF line endings) with
 tables stream CSV with ``--format csv``.  Floats are serialized with 17
 significant digits so binary64 values round-trip exactly.  Exit status: 0 on
 success, 1 when a verification suite fails or a solver finds no root, 2 on
-usage errors.
+usage errors.  The first ``main`` call builds the parser; later calls reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Any, Sequence
@@ -334,6 +335,7 @@ def cmd_limits(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polybohr",

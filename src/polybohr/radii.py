@@ -44,21 +44,24 @@ class NoSignChangeError(ValueError):
 def bracketed_bisection(g: Callable[[float], float], lo: float, hi: float,
                         tol: float = BISECTION_TOL) -> tuple[float, float, float]:
     """Root of g on [lo, hi] by bisection; returns (root, lo, hi) with the
-    final bracket.  Requires a strict sign change, tested without multiplying
-    (a product can underflow); at most 60 iterations reach width <= tol."""
+    final bracket.  Requires a sign change, tested without multiplying (a
+    product can underflow); a NaN at an end or a midpoint has no sign and
+    raises.  At most 60 iterations reach width <= tol."""
     glo, ghi = g(lo), g(hi)
+    if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):
+        raise NoSignChangeError(
+            f"g({lo}) = {glo} and g({hi}) = {ghi} do not change sign")
     if glo == 0.0:
         return lo, lo, hi
     if ghi == 0.0:
         return hi, lo, hi
-    if (glo > 0.0 and ghi > 0.0) or (glo < 0.0 and ghi < 0.0):
-        raise NoSignChangeError(
-            f"g({lo}) = {glo} and g({hi}) = {ghi} have the same sign")
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
         gm = g(mid)
+        if math.isnan(gm):
+            raise NoSignChangeError(f"g({mid}) is NaN")
         if gm == 0.0:
             return mid, lo, hi
         if glo < 0.0 < gm or gm < 0.0 < glo:
@@ -95,7 +98,7 @@ def min_positive_root(g: Callable[[float], float],
         raise NoSignChangeError(
             f"no sign change on ({h}, {hi}] scanned at {MIN_ROOT_GRID} points; "
             f"value at the high end is {boundary}"
-            + (" (boundary root)" if abs(boundary) < 1e-9 else ""))
+            + (" (boundary root)" if boundary == 0.0 else ""))
     root, lo, hi_b = bracketed_bisection(g, first[0], first[1])
     if extra:
         note = ("additional sign changes near "

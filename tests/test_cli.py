@@ -1,6 +1,8 @@
 """Command-line interface: record schema, CSV output, exit codes, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -287,6 +289,63 @@ class TestFamilyRegistry:
                 with pytest.raises(SystemExit):
                     cli.main(["radius", "--family", name])
                 assert f"requires {self.FLAGS[required[0]]}" in capsys.readouterr().err
+
+
+def main_in_process(argv):
+    """(exit code, stdout, stderr) of one in-process ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    SEQUENCE = (["radius", "--family", "nonsense"],
+                ["--help"],
+                ["radius", "--family", "classical", "--n", "2"])
+
+    def test_import_builds_no_parser(self):
+        code = ("import polybohr.cli as cli; "
+                "print(cli.build_parser.cache_info().misses)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_many_calls_build_one_parser(self):
+        cli.build_parser.cache_clear()
+        calls = (list(self.SEQUENCE)
+                 + [["radius", "--family", "euler", "--lambda", "0.25"],
+                    ["limits", "--N-list", "1,2"],
+                    ["expand", "--family", "extremal", "--n", "2", "--K", "2"],
+                    ["table", "--name", "thmC-limits", "--N-max", "0"]])
+        codes = [main_in_process(calls[i % len(calls)])[0] for i in range(50)]
+        assert set(codes) == {0, 2}
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_served_parser_prints_what_a_fresh_one_prints(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        cli.build_parser.cache_clear()
+        shared = [main_in_process(argv) for argv in self.SEQUENCE]
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli.build_parser.cache_clear()
+            fresh.append(main_in_process(argv))
+        assert [code for code, _, _ in shared] == [2, 0, 0]
+        assert shared == fresh
+
+    def test_usage_wraps_to_the_width_at_each_call(self, monkeypatch):
+        argv = ["radius", "--family", "nonsense"]
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = main_in_process(argv)[2]
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = main_in_process(argv)[2]
+        assert cli.build_parser.cache_info().currsize == 1
+        assert len(wide.splitlines()) == 2
+        assert len(narrow.splitlines()) > 2
 
 
 def test_entry_point_help():

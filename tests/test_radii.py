@@ -56,6 +56,18 @@ class TestBisection:
         assert root == pytest.approx(0.3, abs=1e-13)
         assert lo <= 0.3 <= hi
 
+    @pytest.mark.parametrize("g,named", [
+        (lambda x: math.nan, "g(0.0) = nan"),
+        (lambda x: math.nan if x == 0.0 else x - 1.0, "g(0.0) = nan"),
+        (lambda x: math.nan if x == 1.0 else x - 0.5, "g(1.0) = nan"),
+        (lambda x: math.nan if x == 0.5 else x - 0.3, "g(0.5) is NaN"),
+    ], ids=["everywhere", "low-end-root-at-high-end", "high-end", "midpoint"])
+    def test_nan_raises_naming_the_point(self, g, named):
+        # a NaN has no sign, so no root can be bracketed by it
+        with pytest.raises(NoSignChangeError) as err:
+            bracketed_bisection(g, 0.0, 1.0)
+        assert named in str(err.value)
+
 
 class TestMinPositiveRoot:
     def test_two_root_synthetic(self):
@@ -79,6 +91,12 @@ class TestMinPositiveRoot:
         with pytest.raises(NoSignChangeError) as err:
             min_positive_root(lambda x: 1.0 + x * x, 1.0)
         assert "10000 points" in str(err.value)
+
+    def test_tiny_values_without_a_root_are_no_boundary_root(self):
+        # only an exact zero at the high end is tagged, not a small value
+        with pytest.raises(NoSignChangeError) as err:
+            min_positive_root(lambda x: 1e-20 * (1.0 + x), 1.0)
+        assert "boundary root" not in str(err.value)
 
 
 class TestClosedForms:
