@@ -63,9 +63,6 @@ from .series import (
     inf_norm,
     majorant_block_sums,
     majorant_sum,
-    monomial_series,
-    multinomial_coeff,
-    zero_series,
 )
 from .verify import (
     AuditStats,

@@ -8,8 +8,9 @@ Every command writes a single structured record (JSON, LF line endings) with
 ``schema_version``, an echo of the arguments, and a family-specific payload;
 tables stream CSV with ``--format csv``.  Floats are serialized with 17
 significant digits so binary64 values round-trip exactly.  Exit status: 0 on
-success, 1 when a verification suite fails or a solver finds no root, 2 on
-usage errors.  The first ``main`` call builds the parser; later calls reuse it.
+success, 1 when a suite fails or the computation fails (an ``error`` record),
+2 on usage errors, printed under the subcommand's own usage line.  The first
+``main`` call builds the parser; later calls reuse it.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _emit_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
     sys.stdout.write("\n".join(out) + "\n")
 
 
-def _build_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RadiusFamily:
+def _build_family(args: argparse.Namespace) -> RadiusFamily:
     """The family named by --family, its fields read from the flags of the
     same names; a field whose flag has no default must be given."""
     cls = FAMILIES[args.family]
@@ -107,7 +108,7 @@ def _build_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         values[f.name] = getattr(args, f.name)
         if values[f.name] is None:
             flag = "--lambda" if f.name == "lam" else f"--{f.name}"
-            parser.error(f"family {args.family!r} requires {flag}")
+            raise ValueError(f"family {args.family!r} requires {flag}")
     return cls(**values)
 
 
@@ -149,8 +150,8 @@ def _result_payload(res) -> dict:
     }
 
 
-def cmd_radius(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    family = _build_family(parser, args)
+def cmd_radius(args: argparse.Namespace) -> int:
+    family = _build_family(args)
     res = solve(family)
     _emit_record("radius", _echo_family_args(args, family), _result_payload(res))
     return 0
@@ -160,13 +161,12 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _table_rows(parser: argparse.ArgumentParser,
-                args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
     name = args.name
     if args.t_steps < 1:
-        parser.error(f"--t-steps must be >= 1, got {args.t_steps}")
+        raise ValueError(f"--t-steps must be >= 1, got {args.t_steps}")
     if args.N_max < 1:
-        parser.error(f"--N-max must be >= 1, got {args.N_max}")
+        raise ValueError(f"--N-max must be >= 1, got {args.N_max}")
     # Absent --m and --N default to 1; a given value, 0 included, is kept
     # for the family to validate.
     m = 1 if args.m is None else args.m
@@ -214,8 +214,8 @@ def _table_rows(parser: argparse.ArgumentParser,
     return columns, rows
 
 
-def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    columns, rows = _table_rows(parser, args)
+def cmd_table(args: argparse.Namespace) -> int:
+    columns, rows = _table_rows(args)
     if args.format == "csv":
         _emit_csv(columns, rows)
     else:
@@ -250,8 +250,8 @@ def _suite_payload(report: SuiteReport) -> dict:
     }
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    family = _build_family(parser, args)
+def cmd_verify(args: argparse.Namespace) -> int:
+    family = _build_family(args)
     config = SuiteConfig(
         family=family,
         samples=args.samples,
@@ -275,7 +275,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0 if payload["passed"] else 1
 
 
-def cmd_expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_expand(args: argparse.Namespace) -> int:
     if args.source == "extremal":
         series = extremal_series(ExtremalSpec(a=args.a, n=args.n), args.K)
         echo: dict[str, Any] = {"source": "extremal", "a": args.a,
@@ -303,9 +303,9 @@ def cmd_expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
-def cmd_limits(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_limits(args: argparse.Namespace) -> int:
     if (args.N_list is None) == (args.m_list is None):
-        parser.error("limits needs exactly one of --N-list or --m-list")
+        raise ValueError("limits needs exactly one of --N-list or --m-list")
     if args.N_list is not None:
         values = _parse_int_list(args.N_list)
         sweep = limit_sweep_N(args.m, args.n, values)
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_radius = subs.add_parser("radius", help="solve one radius family")
     _family_flags(p_radius)
-    p_radius.set_defaults(run=cmd_radius)
+    p_radius.set_defaults(run=cmd_radius, parser=p_radius)
 
     p_table = subs.add_parser("table", help="emit a named reproduction table")
     p_table.add_argument("--name", required=True, choices=TABLE_NAMES,
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--m-list", dest="m_list", default="1,2,5,20,100")
     p_table.add_argument("--t-steps", dest="t_steps", type=int, default=20)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.set_defaults(run=cmd_table)
+    p_table.set_defaults(run=cmd_table, parser=p_table)
 
     for cmd, sharp in (("verify", False), ("sharpness", True)):
         p = subs.add_parser(cmd, help="run verification suites"
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         if not sharp:
             p.add_argument("--sharpness", action="store_true",
                            help="run only the sharpness-above suite")
-        p.set_defaults(run=cmd_verify, sharpness=sharp)
+        p.set_defaults(run=cmd_verify, parser=p, sharpness=sharp)
 
     p_expand = subs.add_parser("expand", help="dump series coefficients")
     p_expand.add_argument("--family", dest="source", required=True,
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--seed", type=int, default=0)
     p_expand.add_argument("--factors", type=int, default=2)
     p_expand.add_argument("--format", choices=("csv", "json"), default="json")
-    p_expand.set_defaults(run=cmd_expand)
+    p_expand.set_defaults(run=cmd_expand, parser=p_expand)
 
     p_limits = subs.add_parser("limits", help="convergence sweeps in N or m")
     p_limits.add_argument("--m", type=int, default=1)
@@ -391,23 +391,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_limits.add_argument("--N", type=int, default=1)
     p_limits.add_argument("--N-list", dest="N_list", default=None)
     p_limits.add_argument("--m-list", dest="m_list", default=None)
-    p_limits.set_defaults(run=cmd_limits)
+    p_limits.set_defaults(run=cmd_limits, parser=p_limits)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(parser, args)
-    except (NoSignChangeError, CapacityError, DivergentTailError) as exc:
+        return args.run(args)
+    except (NoSignChangeError, CapacityError, DivergentTailError, OverflowError) as exc:
         _emit_record("error", {"command": args.command},
                      {"error": type(exc).__name__, "message": str(exc)})
         return 1
     except ValueError as exc:
-        # domain validation (parameter ranges) surfaces as a usage error
-        parser.error(str(exc))
+        # argument and domain validation surface as a usage error of the
+        # subcommand, under its own usage line
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -161,9 +161,6 @@ class BlaschkeFactor:
         d = 1.0 - self.w.conjugate() * z
         return (abs(self.w) ** 2 - 1.0) / (d * d)
 
-    def coefficients(self, K: int) -> list[complex]:
-        return self.multiply([1.0 + 0.0j] + [0j] * K)
-
     def multiply(self, c: list[complex]) -> list[complex]:
         """(sum_k c_k z^k) B_w(z) up to degree len(c) - 1 in O(len(c)): entry k
         is w c_k - (1-|w|^2) S_k, S_k = conj(w) S_{k-1} + c_{k-1}, S_0 = 0."""

@@ -96,26 +96,6 @@ def colex_multinomials(n: int, k: int) -> Iterator[tuple[MultiIndex, int]]:
                 yield head + (last,), binom * m
 
 
-def multinomial_coeff(alpha: MultiIndex) -> int:
-    """|alpha|! / alpha!, the coefficient of z^alpha in (z_1+...+z_n)^|alpha|.
-
-    Computed as a product of binomials over partial sums, which stays in
-    integers at every step.  Degrees above the documented cap are rejected.
-    """
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"negative exponent in {alpha}")
-    k = sum(alpha)
-    if k > MULTINOMIAL_DEGREE_CAP:
-        raise CapacityError(
-            f"degree {k} exceeds the multinomial cap {MULTINOMIAL_DEGREE_CAP}")
-    coeff = 1
-    partial = 0
-    for a in alpha:
-        partial += a
-        coeff *= math.comb(partial, a)
-    return coeff
-
-
 @dataclass(frozen=True)
 class TailBound:
     """Certified bound sum_{|alpha|=k} |a_alpha| <= C * k^weight * q^k for
@@ -204,15 +184,6 @@ class TruncatedSeries:
     def coeffs(self) -> CoeffDict:
         return self._coeffs() if callable(self._coeffs) else self._coeffs
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return ((self.dim, self.max_degree, self.coeffs, self.tail)
-                == (other.dim, other.max_degree, other.coeffs, other.tail))
-
-    def coefficient(self, alpha: MultiIndex) -> complex:
-        return self.coeffs.get(alpha, 0.0 + 0.0j)
-
     def tail_sum(self, r: float, start: int = 1, step: int = 1) -> float:
         """Bound for the discarded majorant mass sum_k block_k * r^k.
 
@@ -257,15 +228,6 @@ def dict_parts(coeffs: CoeffDict, K: int, z: Point) -> list[complex]:
             i += 1
         out[k] += term
     return out
-
-
-def zero_series(n: int) -> TruncatedSeries:
-    return TruncatedSeries(dim=n, max_degree=0, coeffs={})
-
-
-def monomial_series(alpha: MultiIndex, coeff: complex = 1.0 + 0.0j) -> TruncatedSeries:
-    return TruncatedSeries(dim=len(alpha), max_degree=sum(alpha),
-                           coeffs={tuple(alpha): complex(coeff)})
 
 
 def eval_series(f: TruncatedSeries, z: Point) -> complex:

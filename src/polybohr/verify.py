@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 from .families import ExtremalSpec, Lcg64, extremal_series, sample_product_spec
 from .radii import RadiusFamily, solve
@@ -51,17 +51,19 @@ class SuiteConfig:
     samples: int = 200
     margin_below: float = 0.99
     margin_above: float = 0.02
-    a_schedule: tuple[float, ...] = (0.9, 0.99, 0.999)
     seed: int = 0
     factors_per_coordinate: int = 3
-    k_start: int = 16
     k_cap: int = 512
+    # Fixed by the suites, not settings: the extremal schedule and first K.
+    a_schedule: ClassVar[tuple[float, ...]] = (0.9, 0.99, 0.999)
+    k_start: ClassVar[int] = 16
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.k_start < 1:
-            raise ValueError(f"k_start must be >= 1, got {self.k_start}")
+        if self.factors_per_coordinate < 0:
+            raise ValueError(
+                f"factor count must be >= 0, got {self.factors_per_coordinate}")
         if self.k_cap < 1:
             raise ValueError(f"k_cap must be >= 1, got {self.k_cap}")
         if not 0.0 < self.margin_below < 1.0:
@@ -120,7 +122,7 @@ def _make_report(suite: str, family: RadiusFamily, radius_r: float,
         eval_radius=eval_radius,
         cases=tuple(cases),
         counts=counts,
-        worst_slack=min(slacks) if slacks else math.inf,
+        worst_slack=min(slacks),
         failures=tuple(c for c in cases if failing(c)),
         witness_a=witness_a,
         notes=notes,
@@ -212,10 +214,6 @@ class AuditStats:
     checks: dict[str, int] = field(default_factory=dict)
     worst_margin: float = math.inf
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
 
 # Absolute slack allowed on exact-arithmetic bounds; covers roundoff only.
 _AUDIT_EPS = 1e-12
@@ -252,7 +250,7 @@ def audit_lemmas(samples: int, dims: Iterable[int], radii: Iterable[float],
             fn_seed = case_seed(seed, s * 101 + n)
             spec = sample_product_spec(fn_seed, n, 2)
             series = spec.series(coeff_K)
-            a0 = abs(series.coefficient((0,) * n))
+            a0 = abs(series.coeffs.get((0,) * n, 0j))
             cap = 1.0 - a0 * a0
             for alpha, c in series.coeffs.items():
                 if sum(alpha) > 0:

@@ -302,6 +302,44 @@ def main_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+class TestErrorPaths:
+    @pytest.mark.parametrize("argv", [
+        ["radius", "--family", "rmn", "--m", "1"],
+        ["radius", "--family", "area", "--n", "1", "--t", "1.5"],
+        ["table", "--name", "thm2.3-grid", "--t-steps", "0"],
+        ["verify", "--family", "classical", "--samples", "0"],
+        ["sharpness", "--family", "classical", "--factors", "-1"],
+        ["expand", "--family", "extremal", "--a", "1.5"],
+        ["limits"],
+    ], ids=" ".join)
+    def test_post_parse_usage_error_shows_the_subcommand_usage(self, argv):
+        code, out, err = main_in_process(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: polybohr {argv[0]} ")
+        assert f"polybohr {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["radius", "--family", "convexmnt", "--m", "1000", "--n", "3", "--t", "0.5"],
+        ["table", "--name", "thm2.3-grid", "--m", "700", "--n", "3", "--t-steps", "2"],
+        ["verify", "--family", "classical", "--n", "1", "--samples", "2",
+         "--margin-above", "1e300"],
+    ], ids=" ".join)
+    def test_overflow_is_an_error_record(self, argv):
+        code, out, err = main_in_process(argv)
+        assert (code, err) == (1, "")
+        record = json.loads(out)
+        assert record["command"] == "error"
+        assert record["args"] == {"command": argv[0]}
+        assert record["payload"]["error"] == "OverflowError"
+
+    @pytest.mark.parametrize("sharpness", [[], ["--sharpness"]], ids=["both", "sharpness"])
+    def test_negative_factor_count_is_a_usage_error(self, sharpness):
+        argv = ["verify", "--family", "classical", "--samples", "2", "--factors", "-1"]
+        code, out, err = main_in_process(argv + sharpness)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: factor count must be >= 0, got -1\n")
+
+
 class TestSharedParser:
     SEQUENCE = (["radius", "--family", "nonsense"],
                 ["--help"],

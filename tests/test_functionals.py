@@ -30,10 +30,8 @@ from polybohr import (
     functional_E,
     functional_rogosinski_uni,
     majorant_sum,
-    monomial_series,
     sample_bounded_function,
     schwarz_power_map,
-    zero_series,
 )
 from polybohr.radii import branch_diagonal
 
@@ -175,7 +173,8 @@ class TestFunctionalD:
     def test_coordinate_monomial(self):
         # f = z: value r + r at the diagonal, below 1 at r = 0.99 * 0.3191
         r = 0.99 * 0.3191
-        rep = functional_D(monomial_series((1,)), (-r + 0j,), lam=0.5)
+        rep = functional_D(TruncatedSeries(dim=1, max_degree=1, coeffs={(1,): 1 + 0j}),
+                           (-r + 0j,), lam=0.5)
         assert rep.value == pytest.approx(2 * r, rel=1e-14)
         assert rep.verdict is Verdict.HOLDS
 
@@ -200,7 +199,8 @@ class TestFunctionalD:
         assert rep.value == pytest.approx(1.0000314410778381, rel=1e-9)
 
     def test_zero_function(self):
-        rep = functional_D(zero_series(2), (-0.3 + 0j, -0.3 + 0j), lam=2.0)
+        rep = functional_D(TruncatedSeries(dim=2, max_degree=0, coeffs={}),
+                           (-0.3 + 0j, -0.3 + 0j), lam=2.0)
         assert rep.value == 0.0 and rep.verdict is Verdict.HOLDS
 
 
@@ -212,7 +212,7 @@ class TestFunctionalE:
         assert got.value == pytest.approx(ref.value, rel=1e-14)
 
     def test_coordinate_monomial_combination(self):
-        f = monomial_series((1,))
+        f = TruncatedSeries(dim=1, max_degree=1, coeffs={(1,): 1 + 0j})
         t, r = 0.3, 0.4
         rep = functional_E(f, r, t)
         assert rep.value == pytest.approx(t * r + (1 - t) * r * r, rel=1e-14)
@@ -265,7 +265,8 @@ class TestRogosinskiUnivariate:
     def test_monomial_doubles(self, N):
         # f = z^N: |f| = r^N and the tail adds another r^N
         r = 0.35
-        rep = functional_rogosinski_uni(monomial_series((N,)), (-r + 0j,), N=N)
+        f = TruncatedSeries(dim=1, max_degree=N, coeffs={(N,): 1 + 0j})
+        rep = functional_rogosinski_uni(f, (-r + 0j,), N=N)
         assert rep.value == pytest.approx(2 * r ** N, rel=1e-14)
 
     def test_requires_univariate(self):

@@ -51,9 +51,10 @@ class TestHoldsBelow:
         assert report.counts["HOLDS"] == 40
         assert report.worst_slack > 0
 
-    def test_escalation_resolves_inconclusive(self):
+    def test_escalation_resolves_inconclusive(self, monkeypatch):
         # a tiny starting truncation leaves a visible tail which doubling removes
-        config = SuiteConfig(family=Classical(2), samples=10, seed=1, k_start=2)
+        monkeypatch.setattr(SuiteConfig, "k_start", 2)
+        config = SuiteConfig(family=Classical(2), samples=10, seed=1)
         report = check_holds_below(config)
         assert report.passed
         assert all(c.verdict == "HOLDS" for c in report.cases)
@@ -74,15 +75,16 @@ class TestHoldsBelow:
         assert [c.k_used for c in check_holds_below(config).cases] == [4, 4]
         assert [c.k_used for c in check_sharpness_above(config).cases] == [4, 4, 4]
 
-    def test_escalation_is_clamped_to_the_cap(self):
+    def test_escalation_is_clamped_to_the_cap(self, monkeypatch):
         # cases left INCONCLUSIVE at K = 3 escalate to the cap 5, not to 6
+        monkeypatch.setattr(SuiteConfig, "k_start", 3)
         config = SuiteConfig(family=EulerLambda(n=1, lam=0.5), samples=10,
-                             seed=1, k_start=3, k_cap=5)
+                             seed=1, k_cap=5)
         report = check_holds_below(config)
         assert report.passed
         assert {c.k_used for c in report.cases} == {3, 5}
 
-    @pytest.mark.parametrize("field", ["k_start", "k_cap"])
+    @pytest.mark.parametrize("field", ["k_cap"])
     def test_truncation_degrees_must_be_positive(self, field):
         # K doubles from min(k_start, k_cap), so a start of 0 would never grow
         for value in (0, -3):
@@ -122,10 +124,10 @@ class TestSharpnessAbove:
         assert report.witness_a is None
         assert report.notes == "no violating schedule member found" + suffix
 
-    def test_values_increase_along_schedule_toward_one(self):
+    def test_values_increase_along_schedule_toward_one(self, monkeypatch):
         # at the designated point the functional value grows with a
-        report = check_sharpness_above(
-            SuiteConfig(family=Classical(2), a_schedule=(0.5, 0.7, 0.9)))
+        monkeypatch.setattr(SuiteConfig, "a_schedule", (0.5, 0.7, 0.9))
+        report = check_sharpness_above(SuiteConfig(family=Classical(2)))
         vals = [c.value for c in report.cases]
         assert vals == sorted(vals)
 
@@ -181,9 +183,10 @@ class TestCaseSeeds:
 
 def test_euler_monomial_spec_case():
     # f = z at r = 0.99 * 0.3191: the functional value is r + r < 1
-    from polybohr import functional_D, monomial_series
+    from polybohr import TruncatedSeries, functional_D
 
     r = 0.99 * 0.3191
-    rep = functional_D(monomial_series((1,)), (-r + 0j,), 0.5)
+    f = TruncatedSeries(dim=1, max_degree=1, coeffs={(1,): 1 + 0j})
+    rep = functional_D(f, (-r + 0j,), 0.5)
     assert rep.value == pytest.approx(2 * 0.99 * 0.3191, rel=1e-13)
     assert rep.verdict.value == "HOLDS"
