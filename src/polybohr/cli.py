@@ -16,7 +16,6 @@ success, 1 when a suite fails or the computation fails (an ``error`` record),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -104,10 +103,10 @@ def _build_family(args: argparse.Namespace) -> RadiusFamily:
     same names; a field whose flag has no default must be given."""
     cls = FAMILIES[args.family]
     values = {}
-    for f in dataclasses.fields(cls):
-        values[f.name] = getattr(args, f.name)
-        if values[f.name] is None:
-            flag = "--lambda" if f.name == "lam" else f"--{f.name}"
+    for name in cls.__match_args__:
+        values[name] = getattr(args, name)
+        if values[name] is None:
+            flag = "--lambda" if name == "lam" else f"--{name}"
             raise ValueError(f"family {args.family!r} requires {flag}")
     return cls(**values)
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import partial
 
+from .report import record
 from .series import (
     CapacityError,
     ENUMERATION_CAP,
@@ -72,7 +72,7 @@ class Lcg64:
         return lo + self.next_u64() % span
 
 
-@dataclass(frozen=True)
+@record
 class ExtremalSpec:
     """Parameters of the extremal family: a in [0, 1), dimension n >= 1."""
 
@@ -140,7 +140,7 @@ def _check_series_capacity(n: int, K: int) -> None:
             f"series support C({K + n},{n}) = {total} exceeds the capacity cap")
 
 
-@dataclass(frozen=True)
+@record
 class BlaschkeFactor:
     """A single disc automorphism factor B_w(z) = (w - z)/(1 - conj(w) z).
 
@@ -188,7 +188,7 @@ def _convolve_degrees(vectors: list[list], K: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ProductFunctionSpec:
     """g(z) = e^{i phase} * prod_i prod_j B_{ij}(z_i), unit-bounded on the
     open polydisc by construction."""
@@ -322,7 +322,7 @@ def sample_bounded_function(seed: int, n: int, factors_per_coordinate: int,
     return sample_product_spec(seed, n, factors_per_coordinate).series(K)
 
 
-@dataclass(frozen=True)
+@record
 class SchwarzMapSpec:
     """Componentwise self-maps omega_i(w) = w^m B_i(w) of the unit disc,
     vanishing to order >= m at the origin (B_i a finite Blaschke product,
@@ -330,7 +330,7 @@ class SchwarzMapSpec:
 
     n: int
     m: int
-    tails: tuple[tuple[BlaschkeFactor, ...], ...] = field(default=())
+    tails: tuple[tuple[BlaschkeFactor, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if self.n < 1:

@@ -18,11 +18,10 @@ Each report records which path was taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar
 
 from .families import SchwarzMapSpec, eval_schwarz
-from .report import EvalReport
+from .report import EvalReport, record
 from .series import (
     TruncatedSeries,
     area_sum,
@@ -35,7 +34,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class FromDegree:
     """Tail index set {k : k >= N}."""
 
@@ -47,7 +46,7 @@ class FromDegree:
             raise ValueError(f"tail start must be >= 1, got {self.N}")
 
 
-@dataclass(frozen=True)
+@record
 class MultiplesOf:
     """Tail index set {N, 2N, 3N, ...}."""
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 from .families import schwarz_power_map
@@ -29,7 +28,7 @@ from .functionals import (
     functional_E,
     functional_rogosinski_uni,
 )
-from .report import EvalReport
+from .report import EvalReport, record
 from .series import Point, TruncatedSeries
 
 BISECTION_TOL = 1e-14
@@ -115,7 +114,7 @@ SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 FAMILIES: dict[str, type[RadiusFamily]] = {}
 
 
-@dataclass(frozen=True)
+@record
 class RadiusResult:
     family: RadiusFamily
     radius_r: float
@@ -128,7 +127,7 @@ class RadiusResult:
 class RadiusFamily:
     """One sharp inequality: its radius equation and its functional.
 
-    Subclasses are frozen dataclasses whose fields are the family's
+    Subclasses are frozen ``@record`` classes whose fields are the family's
     parameters, named as the CLI flags that set them (``lam`` is
     ``--lambda``).  Each defines ``name``, its ``--family`` name, and
     ``poly(v)``, the defining polynomial in the solve variable ``solve_var``
@@ -172,7 +171,7 @@ def branch_diagonal(n: int, m: int, r: float) -> Point:
     return (c * r,) * n
 
 
-@dataclass(frozen=True)
+@record
 class Classical(RadiusFamily):
     """Plain majorant threshold; the radius is 1/(3n) in closed form."""
 
@@ -195,7 +194,7 @@ class Classical(RadiusFamily):
         return functional_A(f, r)
 
 
-@dataclass(frozen=True)
+@record
 class RogosinskiUni(RadiusFamily):
     """Univariate |f(z)|^p head with a degree >= N majorant tail."""
 
@@ -218,7 +217,7 @@ class RogosinskiUni(RadiusFamily):
         return functional_rogosinski_uni(f, (-r + 0.0j,), self.N, self.p)
 
 
-@dataclass(frozen=True)
+@record
 class RmN(RadiusFamily):
     """Univariate composition head |f(z^m)| with a degree >= N tail."""
 
@@ -239,7 +238,7 @@ class RmN(RadiusFamily):
                             branch_diagonal(1, self.m, r), FromDegree(self.N), p=1)
 
 
-@dataclass(frozen=True)
+@record
 class RmnN(RadiusFamily):
     """Polydisc composition head with the multiples-of-N majorant tail."""
 
@@ -268,7 +267,7 @@ class RmnN(RadiusFamily):
                             branch_diagonal(self.n, self.m, r), mode, p=1)
 
 
-@dataclass(frozen=True)
+@record
 class AN(RadiusFamily):
     """Large-m limit family: 2 x^N = 1 - x in x = n r."""
 
@@ -288,7 +287,7 @@ class AN(RadiusFamily):
                          "use radius or limits")
 
 
-@dataclass(frozen=True)
+@record
 class ConvexT(RadiusFamily):
     """Univariate convex combination t |f(z)| + (1-t) majorant.
 
@@ -321,7 +320,7 @@ class ConvexT(RadiusFamily):
         return functional_C(f, schwarz_power_map(1, 1), (-r + 0.0j,), self.t)
 
 
-@dataclass(frozen=True)
+@record
 class ConvexMNT(RadiusFamily):
     """Polydisc convex combination with a composition head of order m; the
     radius is the minimum positive root of the degree m+1 polynomial in
@@ -351,7 +350,7 @@ class ConvexMNT(RadiusFamily):
                             branch_diagonal(self.n, self.m, r), self.t)
 
 
-@dataclass(frozen=True)
+@record
 class EulerLambda(RadiusFamily):
     """Radial-derivative functional; quartic in x = n r on (0, sqrt(2)-1)."""
 
@@ -379,7 +378,7 @@ class EulerLambda(RadiusFamily):
         return functional_D(f, (-r + 0.0j,) * self.n, self.lam)
 
 
-@dataclass(frozen=True)
+@record
 class AreaT(RadiusFamily):
     """Majorant plus image-area combination; cubic in x = n r for
     t < 9/17, constant 1/3 beyond."""

@@ -25,11 +25,10 @@ no synchronisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterator, Optional
 
-from .report import EvalReport
+from .report import EvalReport, record
 
 MultiIndex = tuple[int, ...]
 Point = tuple[complex, ...]
@@ -96,7 +95,7 @@ def colex_multinomials(n: int, k: int) -> Iterator[tuple[MultiIndex, int]]:
                 yield head + (last,), binom * m
 
 
-@dataclass(frozen=True)
+@record
 class TailBound:
     """Certified bound sum_{|alpha|=k} |a_alpha| <= C * k^weight * q^k for
     every degree k above the truncation of the series that carries it.

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable
 
 from .families import ExtremalSpec, Lcg64, extremal_series, sample_product_spec
 from .radii import RadiusFamily, solve
-from .report import EvalReport, Verdict
+from .report import EvalReport, Verdict, record
 from .series import MULTINOMIAL_DEGREE_CAP, Point, euler_derivative, eval_series
 
 # Extremal-family truncations stop at the exact-multinomial degree cap; the
@@ -45,7 +44,7 @@ EXTREMAL_K_CAP = MULTINOMIAL_DEGREE_CAP
 TAIL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@record
 class SuiteConfig:
     family: RadiusFamily
     samples: int = 200
@@ -70,11 +69,12 @@ class SuiteConfig:
             raise ValueError(f"margin_below must lie in (0,1), got {self.margin_below}")
         if not self.margin_above > 0.0:
             raise ValueError(f"margin_above must be positive, got {self.margin_above}")
-        if math.isinf(self.margin_above):
-            raise ValueError(f"margin_above must be finite, got {self.margin_above}")
+        if self.margin_above >= 1.0:
+            # the sharpness suite would evaluate outside the unit polydisc
+            raise ValueError(f"margin_above must be below 1, got {self.margin_above}")
 
 
-@dataclass(frozen=True)
+@record
 class CaseResult:
     index: int
     seed: int
@@ -85,7 +85,7 @@ class CaseResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class SuiteReport:
     suite: str
     family_label: str
@@ -207,11 +207,11 @@ def _random_point(rng: Lcg64, n: int, r: float) -> Point:
     return tuple(coords)
 
 
-@dataclass(frozen=True)
+@record
 class AuditStats:
     pairs: int
     violations: int
-    checks: dict[str, int] = field(default_factory=dict)
+    checks: dict[str, int]
     worst_margin: float = math.inf
 
 
@@ -275,7 +275,7 @@ def audit_lemmas(samples: int, dims: Iterable[int], radii: Iterable[float],
                       worst_margin=worst)
 
 
-@dataclass(frozen=True)
+@record
 class ClosedFormCheck:
     a: float
     n: int

@@ -68,6 +68,9 @@ class TestHoldsBelow:
     def test_margin_validation(self):
         with pytest.raises(ValueError):
             SuiteConfig(family=Classical(1), margin_below=1.2)
+        for value in (1.0, 1e300, float("inf")):
+            with pytest.raises(ValueError, match="margin_above must be below 1"):
+                SuiteConfig(family=Classical(1), margin_above=value)
 
     def test_k_cap_below_k_start_is_honoured(self):
         # both suites start at min(k_start, k_cap), as in the shared loop
