@@ -319,6 +319,17 @@ class TestErrorPaths:
         assert err.startswith(f"usage: polybohr {argv[0]} ")
         assert f"polybohr {argv[0]}: error: " in err
 
+    @pytest.mark.parametrize("margin", ["1", "1e300", "inf"])
+    def test_margin_above_of_one_or_more_is_a_usage_error(self, margin):
+        # Formerly an OverflowError record: the radius left the unit polydisc.
+        argv = ["verify", "--family", "classical", "--n", "1", "--samples", "2",
+                "--margin-above", margin]
+        code, out, err = main_in_process(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: polybohr verify ")
+        assert err.endswith(
+            f"error: margin_above must be below 1, got {float(margin)}\n")
+
     @pytest.mark.parametrize("argv", [
         ["radius", "--family", "convexmnt", "--m", "1000", "--n", "3", "--t", "0.5"],
         ["table", "--name", "thm2.3-grid", "--m", "700", "--n", "3", "--t-steps", "2"],
