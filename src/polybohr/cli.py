@@ -260,8 +260,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         factors_per_coordinate=args.factors,
         k_cap=args.k_cap,
     )
-    reports = [] if args.sharpness else [check_holds_below(config)]
-    reports.append(check_sharpness_above(config))
+    # sharpness first: it rejects a radius outside the polydisc before
+    # the hold-below suite builds any series
+    above = check_sharpness_above(config)
+    reports = [above] if args.sharpness else [check_holds_below(config), above]
     echo = _echo_family_args(args, family)
     echo.update({"samples": args.samples, "seed": args.seed,
                  "factors": args.factors, "k_cap": args.k_cap,

@@ -20,6 +20,7 @@ import cmath
 import math
 import operator
 from functools import partial
+from itertools import compress
 
 from .report import record
 from .series import (
@@ -31,7 +32,6 @@ from .series import (
     TailBound,
     TruncatedSeries,
     colex_multinomials,
-    dict_parts,
     enumerate_multiindices,
     inf_norm,
 )
@@ -101,18 +101,23 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
     """Expansion a - (1-a^2) sum_{k>=1} a^{k-1} (z_1+...+z_n)^k up to degree K.
 
     The coefficient at alpha with |alpha| = k >= 1 is
-    -(1-a^2) a^{k-1} (k!/alpha!).  For a > 0 one colex pass per degree inserts
-    each coefficient and sums the degree's blocks, which equal
-    (1-a^2) a^{k-1} n^k, certified exactly by TailBound(C=(1-a^2)/a, q=a n);
-    for a = 0 the series terminates at degree 1 and carries no tail.
+    -(1-a^2) a^{k-1} (k!/alpha!).  For a > 0 no coefficient dict is built:
+    a table of the heads, the multi-indices of the first n - 1 coordinates,
+    is made once per call, and every graded datum follows
+    :func:`_colex_walk` over it, term by term in colex order.  The build
+    sums the blocks, which equal (1-a^2) a^{k-1} n^k, certified exactly by
+    TailBound(C=(1-a^2)/a, q=a n), and the squared blocks; the parts multiply
+    each term out at the point; and the dict is built on first access only.
+    All three are bit for bit those of the dict.  For a = 0 the series
+    terminates at degree 1 and carries no tail.
     """
     if K < 0:
         raise ValueError(f"max degree must be >= 0, got {K}")
     a, n = spec.a, spec.n
     _check_series_capacity(n, K)
-    coeffs: dict[MultiIndex, complex] = {(0,) * n: complex(a)}
     closed_form = partial(extremal_closed_eval, spec)
     if a == 0.0:
+        coeffs = {(0,) * n: complex(a)}
         for alpha in enumerate_multiindices(n, 1):
             coeffs[alpha] = -1.0 + 0.0j
         return TruncatedSeries(n, max(K, 1), coeffs, None, closed_form)
@@ -120,17 +125,70 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
         raise CapacityError(
             f"degree {MULTINOMIAL_DEGREE_CAP + 1} exceeds the multinomial "
             f"cap {MULTINOMIAL_DEGREE_CAP}")
-    blocks = [abs(complex(a))] + [0.0] * K
-    squared = [abs(complex(a)) ** 2] + [0.0] * K
+    # heads[j] lists (head, M(head)) of degree j; for n = 1 the one head is ()
+    heads = ([[((), 1)]] if n == 1 else
+             [list(colex_multinomials(n - 1, j)) for j in range(K + 1)])
+    walk = _colex_walk(len(heads) - 1, K)
+    # the constant a, then ak[k] = -(1-a^2) a^{k-1}, the factor of every
+    # degree-k multinomial
     scale = -(1.0 - a * a)
+    ak = [complex(a)] + [scale * a ** (k - 1) for k in range(1, K + 1)]
+    blocks, squared = [abs(ak[0])] + [0.0] * K, [abs(ak[0]) ** 2] + [0.0] * K
     for k in range(1, K + 1):
-        ak = scale * a ** (k - 1)
-        for alpha, m in colex_multinomials(n, k):
-            coeffs[alpha] = c = ak * m
-            blocks[k] += abs(c)
-            squared[k] += abs(c) ** 2
+        b = s = 0.0
+        c = -ak[k]  # ak[k] <= 0, so |ak[k] * M| = -ak[k] * M exactly
+        for binom, j, _ in walk[k]:
+            for _, m in heads[j]:
+                x = c * (binom * m)
+                b += x
+                s += x ** 2
+        blocks[k], squared[k] = b, s
+
+    def parts(z: Point) -> list[complex]:
+        *powers, last_powers = [[zi ** e for e in range(K + 1)] for zi in z]
+        # per head: its multinomial and the powers of its nonzero exponents
+        factors = [[(m, [*compress(map(operator.getitem, powers, head), head)])
+                    for head, m in group] for group in heads]
+        out = [0j] * (K + 1)
+        out[0] += ak[0]
+        for k in range(1, K + 1):
+            acc, c = 0j, ak[k]
+            for binom, j, last in walk[k]:
+                w = last_powers[last]
+                for m, head_powers in factors[j]:
+                    term = c * (binom * m)
+                    for p in head_powers:
+                        term *= p
+                    if last:
+                        term *= w
+                    acc += term
+            out[k] = acc
+        return out
+
+    def coeffs() -> dict[MultiIndex, complex]:
+        return {(0,) * n: ak[0]} | {
+            head + (last,): ak[k] * (binom * m)
+            for k in range(1, K + 1) for binom, j, last in walk[k] for head, m in heads[j]}
+
     return TruncatedSeries(n, K, coeffs, TailBound((1.0 - a * a) / a, a * n), closed_form,
-                           graded=(blocks, squared, partial(dict_parts, coeffs, K)))
+                           graded=(blocks, squared, parts))
+
+
+def _colex_walk(top: int, K: int) -> list[list[tuple[int, int, int]]]:
+    """The colex order of the multi-indices of degrees 1..K, degree by degree.
+
+    A degree-k multi-index is a head, of degree j = k - last <= top in the
+    first n - 1 coordinates, followed by ``last``; its multinomial is
+    C(k, last) * M(head).  ``walk[k]`` lists (C(k, last), j, last) by
+    ascending last, so taking each entry's heads of degree j in their colex
+    order visits the degree-k multi-indices in colex order.  ``walk[0]`` is
+    empty: the constant term is not walked.
+    """
+    walk: list[list[tuple[int, int, int]]] = [[] for _ in range(K + 1)]
+    for j in range(top, -1, -1):
+        for last in range(j == 0, K - j + 1):
+            walk[j + last].append((math.comb(j + last, last), j, last))
+    return walk
 
 
 def _check_series_capacity(n: int, K: int) -> None:

@@ -5,8 +5,9 @@ by its graded data: for each degree k the block sum_{|alpha|=k} |a_alpha|,
 the squared block sum_{|alpha|=k} |a_alpha|^2 and the degree-k part P_k(z)
 at a point.  Every functional reads only these.  The coefficients a_alpha
 are also available as a dict keyed by exponent tuples (absent keys are
-zero), which product series build only when it is asked for.  An optional
-:class:`TailBound` certifies that every discarded degree block satisfies
+zero), which the product and extremal series build only when it is asked
+for.  An optional :class:`TailBound` certifies that every discarded degree
+block satisfies
 
     sum_{|alpha|=k} |a_alpha|  <=  C * k^weight * q^k      for all k > K,
 

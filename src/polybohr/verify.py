@@ -171,9 +171,14 @@ def check_sharpness_above(config: SuiteConfig) -> SuiteReport:
     """Search the extremal schedule for a VIOLATED witness at
     r = radius + margin_above.  Absence of a witness is a failing report,
     never an exception; its notes count the cases still INCONCLUSIVE at the
-    K cap, which a larger cap may resolve."""
+    K cap, which a larger cap may resolve.  An r of 1 or more, outside the
+    unit polydisc, raises ValueError before any series is built."""
     solved = solve(config.family)
     r = solved.radius_r + config.margin_above
+    if r >= 1.0:
+        raise ValueError(
+            f"sharpness radius {solved.radius_r} + margin_above {config.margin_above} "
+            f"= {r} is not inside the unit polydisc")
     cases: list[CaseResult] = []
     witness: float | None = None
     cap = min(config.k_cap, EXTREMAL_K_CAP)

@@ -330,6 +330,21 @@ class TestErrorPaths:
         assert err.endswith(
             f"error: margin_above must be below 1, got {float(margin)}\n")
 
+    @pytest.mark.parametrize("sharpness", [[], ["--sharpness"]], ids=["both", "sharpness"])
+    def test_sharpness_radius_outside_the_polydisc_is_a_usage_error(self, sharpness,
+                                                                     monkeypatch):
+        # r = 1/3 + 0.9 lies outside D^1, so neither suite builds a series
+        def refuse(config):
+            raise AssertionError("the hold-below suite ran")
+
+        monkeypatch.setattr(cli, "check_holds_below", refuse)
+        argv = ["verify", "--family", "classical", "--n", "1", "--samples", "2",
+                "--margin-above", "0.9"] + sharpness
+        code, out, err = main_in_process(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: polybohr verify ")
+        assert err.endswith("= 1.2333333333333334 is not inside the unit polydisc\n")
+
     @pytest.mark.parametrize("argv", [
         ["radius", "--family", "convexmnt", "--m", "1000", "--n", "3", "--t", "0.5"],
         ["table", "--name", "thm2.3-grid", "--m", "700", "--n", "3", "--t-steps", "2"],

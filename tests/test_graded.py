@@ -1,10 +1,11 @@
 """Graded series data (degree blocks, squared blocks and degree-k parts)
-against brute-force sums over the multi-index dict, the streamed extremal
-build against its definition bit for bit, and the hold-below hot path's
-independence from that dict."""
+against brute-force sums over the multi-index dict, the extremal build
+against its definition bit for bit, and the independence of the hold-below
+and sharpness hot paths from that dict."""
 
 import cmath
 import math
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from polybohr import (
     SuiteConfig,
     TruncatedSeries,
     check_holds_below,
+    check_sharpness_above,
     enumerate_multiindices,
     euler_derivative,
     eval_series,
@@ -32,7 +34,7 @@ from polybohr import (
     sample_product_spec,
     schwarz_power_map,
 )
-from polybohr import families
+from polybohr import families, verify
 from polybohr.series import squared_block_sums
 
 REL = 1e-13
@@ -162,3 +164,46 @@ class TestHoldBelowNeedsNoDict:
                    functional_D(f, z, 1.5),
                    functional_E(f, 0.05, 0.4)]
         assert all(math.isfinite(rep.value + rep.tail_bound) for rep in reports)
+
+
+class TestExtremalNeedsNoDict:
+    @staticmethod
+    def functionals_on_a_4_24_extremal():
+        f = extremal_series(ExtremalSpec(0.9, 4), 24)
+        z = seeded_point(8, 4, 0.05)
+        omega = schwarz_power_map(4, 2)
+        reports = [functional_A(f, 0.05),
+                   functional_B(f, omega, z, FromDegree(2)),
+                   functional_B(f, omega, z, MultiplesOf(2), p=2),
+                   functional_C(f, omega, z, 0.5),
+                   functional_D(f, z, 1.5),
+                   functional_E(f, 0.05, 0.4)]
+        assert all(math.isfinite(rep.value + rep.tail_bound) for rep in reports)
+        return f
+
+    def test_functionals_on_a_4_24_extremal_stay_small(self):
+        # Building the 20,475-key dict would peak at about 2.4 MB; the head
+        # table, the walk and one point's power tables take about 0.8 MB.
+        self.functionals_on_a_4_24_extremal()
+        tracemalloc.start()
+        try:
+            f = self.functionals_on_a_4_24_extremal()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "coeffs" not in vars(f)
+        assert peak < 1.5e6, peak
+
+    @pytest.mark.parametrize("family", [Classical(3), EulerLambda(1, 2.0), AreaT(2, 0.8)],
+                             ids=repr)
+    def test_sharpness_above(self, family, monkeypatch):
+        built = []
+
+        def keep(spec, K):
+            built.append(extremal_series(spec, K))
+            return built[-1]
+
+        monkeypatch.setattr(verify, "extremal_series", keep)
+        report = check_sharpness_above(SuiteConfig(family=family, seed=11))
+        assert report.total == len(SuiteConfig.a_schedule)
+        assert built and not any("coeffs" in vars(f) for f in built)

@@ -16,7 +16,9 @@ from polybohr import (
     check_sharpness_above,
     euler_closed_form_check,
 )
+from polybohr import verify
 from polybohr.radii import branch_diagonal
+from polybohr.series import DivergentTailError
 from polybohr.verify import case_seed
 
 
@@ -126,6 +128,21 @@ class TestSharpnessAbove:
         report = check_sharpness_above(config)
         assert report.witness_a is None
         assert report.notes == "no violating schedule member found" + suffix
+
+    def test_radius_outside_the_polydisc_is_rejected_before_any_series(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a series was built")
+
+        monkeypatch.setattr(verify, "extremal_series", refuse)
+        with pytest.raises(ValueError, match="is not inside the unit polydisc$") as info:
+            check_sharpness_above(SuiteConfig(family=Classical(1), margin_above=0.9))
+        assert not isinstance(info.value, DivergentTailError)
+
+    def test_radius_past_the_witness_l1_convergence_still_diverges(self):
+        # r = 1/6 + 0.5 lies inside D^2, but the witness's tail ratio a n r
+        # is 0.9 * 2 * 0.667 > 1 there
+        with pytest.raises(DivergentTailError):
+            check_sharpness_above(SuiteConfig(family=Classical(2), margin_above=0.5))
 
     def test_values_increase_along_schedule_toward_one(self, monkeypatch):
         # at the designated point the functional value grows with a
