@@ -17,7 +17,6 @@ from .families import (
     eval_schwarz,
     extremal_closed_eval,
     extremal_series,
-    sample_bounded_function,
     sample_product_spec,
     sample_schwarz_map,
     schwarz_power_map,
@@ -57,7 +56,6 @@ from .series import (
     TailBound,
     TruncatedSeries,
     area_sum,
-    enumerate_multiindices,
     euler_derivative,
     eval_series,
     inf_norm,

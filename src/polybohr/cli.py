@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Any, Sequence
 
-from .families import ExtremalSpec, extremal_series, sample_bounded_function
+from .families import ExtremalSpec, extremal_series, sample_product_spec
 from .radii import (
     AN,
     FAMILIES,
@@ -282,7 +282,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
         echo: dict[str, Any] = {"source": "extremal", "a": args.a,
                                 "n": args.n, "K": args.K}
     else:
-        series = sample_bounded_function(args.seed, args.n, args.factors, args.K)
+        series = sample_product_spec(args.seed, args.n, args.factors).series(args.K)
         echo = {"source": "blaschke-sample", "seed": args.seed, "n": args.n,
                 "factors": args.factors, "K": args.K}
     rows = [[" ".join(str(a) for a in alpha), c.real, c.imag]

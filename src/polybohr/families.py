@@ -32,7 +32,6 @@ from .series import (
     TailBound,
     TruncatedSeries,
     colex_multinomials,
-    enumerate_multiindices,
     inf_norm,
 )
 
@@ -102,12 +101,13 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
 
     The coefficient at alpha with |alpha| = k >= 1 is
     -(1-a^2) a^{k-1} (k!/alpha!).  For a > 0 no coefficient dict is built:
-    a table of the heads, the multi-indices of the first n - 1 coordinates,
-    is made once per call, and every graded datum follows
-    :func:`_colex_walk` over it, term by term in colex order.  The build
-    sums the blocks, which equal (1-a^2) a^{k-1} n^k, certified exactly by
-    TailBound(C=(1-a^2)/a, q=a n), and the squared blocks; the parts multiply
-    each term out at the point; and the dict is built on first access only.
+    a degree-k multi-index is a head of degree k - last in the first n - 1
+    coordinates, from a table made once per call, followed by ``last``, with
+    multinomial C(k, last) M(head); ascending ``last`` visits colex order.
+    The build sums the blocks, which equal (1-a^2) a^{k-1} n^k, certified
+    exactly by TailBound(C=(1-a^2)/a, q=a n), and the squared blocks; the
+    parts multiply each term out at the point; and the dict is built from
+    :func:`colex_multinomials` on first access only.
     All three are bit for bit those of the dict.  For a = 0 the series
     terminates at degree 1 and carries no tail.
     """
@@ -117,9 +117,8 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
     _check_series_capacity(n, K)
     closed_form = partial(extremal_closed_eval, spec)
     if a == 0.0:
-        coeffs = {(0,) * n: complex(a)}
-        for alpha in enumerate_multiindices(n, 1):
-            coeffs[alpha] = -1.0 + 0.0j
+        coeffs = {(0,) * n: complex(a)} | {
+            alpha: -1.0 + 0.0j for alpha, _ in colex_multinomials(n, 1)}
         return TruncatedSeries(n, max(K, 1), coeffs, None, closed_form)
     if K > MULTINOMIAL_DEGREE_CAP:
         raise CapacityError(
@@ -128,7 +127,9 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
     # heads[j] lists (head, M(head)) of degree j; for n = 1 the one head is ()
     heads = ([[((), 1)]] if n == 1 else
              [list(colex_multinomials(n - 1, j)) for j in range(K + 1)])
-    walk = _colex_walk(len(heads) - 1, K)
+    # walk[k] lists (C(k, last), k - last, last) by ascending last
+    walk = [[(math.comb(k, last), k - last, last)
+             for last in (range(k + 1) if n > 1 else (k,))] for k in range(K + 1)]
     # the constant a, then ak[k] = -(1-a^2) a^{k-1}, the factor of every
     # degree-k multinomial
     scale = -(1.0 - a * a)
@@ -166,29 +167,10 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
         return out
 
     def coeffs() -> dict[MultiIndex, complex]:
-        return {(0,) * n: ak[0]} | {
-            head + (last,): ak[k] * (binom * m)
-            for k in range(1, K + 1) for binom, j, last in walk[k] for head, m in heads[j]}
+        return {alpha: ak[k] * m for k in range(K + 1) for alpha, m in colex_multinomials(n, k)}
 
     return TruncatedSeries(n, K, coeffs, TailBound((1.0 - a * a) / a, a * n), closed_form,
                            graded=(blocks, squared, parts))
-
-
-def _colex_walk(top: int, K: int) -> list[list[tuple[int, int, int]]]:
-    """The colex order of the multi-indices of degrees 1..K, degree by degree.
-
-    A degree-k multi-index is a head, of degree j = k - last <= top in the
-    first n - 1 coordinates, followed by ``last``; its multinomial is
-    C(k, last) * M(head).  ``walk[k]`` lists (C(k, last), j, last) by
-    ascending last, so taking each entry's heads of degree j in their colex
-    order visits the degree-k multi-indices in colex order.  ``walk[0]`` is
-    empty: the constant term is not walked.
-    """
-    walk: list[list[tuple[int, int, int]]] = [[] for _ in range(K + 1)]
-    for j in range(top, -1, -1):
-        for last in range(j == 0, K - j + 1):
-            walk[j + last].append((math.comb(j + last, last), j, last))
-    return walk
 
 
 def _check_series_capacity(n: int, K: int) -> None:
@@ -253,6 +235,10 @@ class ProductFunctionSpec:
 
     factors: tuple[tuple[BlaschkeFactor, ...], ...]
     phase: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.factors:
+            raise ValueError("dimension must be >= 1, got 0")
 
     @property
     def dim(self) -> int:
@@ -335,7 +321,7 @@ class ProductFunctionSpec:
 
         def coeffs() -> dict[MultiIndex, complex]:
             out = {alpha: math.prod((ci[ai] for ci, ai in zip(per_coord, alpha)), start=phase)
-                   for k in range(K + 1) for alpha in enumerate_multiindices(n, k)}
+                   for k in range(K + 1) for alpha, _ in colex_multinomials(n, k)}
             return {alpha: c for alpha, c in out.items() if c != 0}
 
         if not all_w:
@@ -368,16 +354,6 @@ def sample_product_spec(seed: int, n: int, factors_per_coordinate: int) -> Produ
             coord.append(BlaschkeFactor(rho * cmath.exp(1j * theta)))
         factors.append(tuple(coord))
     return ProductFunctionSpec(factors=tuple(factors), phase=phase)
-
-
-def sample_bounded_function(seed: int, n: int, factors_per_coordinate: int,
-                            K: int) -> TruncatedSeries:
-    """Truncated series of a seeded certified-bounded product function.
-
-    The draw depends only on the seed, so rebuilding with a larger K refines
-    the same underlying function.
-    """
-    return sample_product_spec(seed, n, factors_per_coordinate).series(K)
 
 
 @record

@@ -5,9 +5,9 @@ by its graded data: for each degree k the block sum_{|alpha|=k} |a_alpha|,
 the squared block sum_{|alpha|=k} |a_alpha|^2 and the degree-k part P_k(z)
 at a point.  Every functional reads only these.  The coefficients a_alpha
 are also available as a dict keyed by exponent tuples (absent keys are
-zero), which the product and extremal series build only when it is asked
-for.  An optional :class:`TailBound` certifies that every discarded degree
-block satisfies
+zero), which the product series and the a > 0 extremal series build only
+when it is asked for.  An optional :class:`TailBound` certifies that every
+discarded degree block satisfies
 
     sum_{|alpha|=k} |a_alpha|  <=  C * k^weight * q^k      for all k > K,
 
@@ -16,8 +16,9 @@ with rigorous remainder bounds.  All radii are equal polyradii: a single
 scalar r with z ranging over the polycircle max_i |z_i| = r.
 
 Every sum over a series runs by ascending degree, and over a dict's terms in
-insertion order within each degree.  The package's dicts are inserted by
-ascending degree and colexicographically within each degree.
+insertion order within each degree.  The package's dicts are built from
+:func:`colex_multinomials`, its one multi-index enumerator: by ascending
+degree and colexicographically within each degree.
 
 Everything here is a pure function of immutable inputs; concurrent use needs
 no synchronisation.
@@ -60,25 +61,6 @@ class DivergentTailError(ValueError):
 def inf_norm(z: Point) -> float:
     """Max coordinate modulus, the polydisc norm of the point."""
     return max(abs(c) for c in z)
-
-
-def enumerate_multiindices(n: int, k: int) -> list[MultiIndex]:
-    """All exponent tuples of dimension n and degree k, in colexicographic
-    order (the last coordinate varies slowest).
-
-    The count is C(k+n-1, n-1); a :class:`CapacityError` is raised before any
-    list whose size would exceed the enumeration cap is built.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    count = math.comb(k + n - 1, n - 1)
-    if count > ENUMERATION_CAP:
-        raise CapacityError(
-            f"C({k + n - 1},{n - 1}) = {count} multi-indices exceeds the "
-            f"capacity cap {ENUMERATION_CAP}")
-    return [alpha for alpha, _ in colex_multinomials(n, k)]
 
 
 def colex_multinomials(n: int, k: int) -> Iterator[tuple[MultiIndex, int]]:

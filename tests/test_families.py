@@ -11,14 +11,13 @@ from polybohr import (
     CapacityError,
     ExtremalSpec,
     Lcg64,
-    enumerate_multiindices,
+    ProductFunctionSpec,
     eval_schwarz,
     eval_series,
     extremal_closed_eval,
     extremal_series,
     inf_norm,
     majorant_block_sums,
-    sample_bounded_function,
     sample_product_spec,
     sample_schwarz_map,
     schwarz_power_map,
@@ -153,10 +152,15 @@ class TestBlaschkeFactor:
 
 class TestSampledFunctions:
     def test_zero_factors_is_unimodular_constant(self):
-        f = sample_bounded_function(seed=5, n=2, factors_per_coordinate=0, K=4)
+        f = sample_product_spec(seed=5, n=2, factors_per_coordinate=0).series(4)
         assert set(f.coeffs) == {(0, 0)}
         assert abs(f.coeffs[(0, 0)]) == pytest.approx(1.0, abs=1e-15)
         assert f.tail is None
+
+    def test_empty_product_is_rejected(self):
+        # no coordinate lists means dimension 0, which has no series
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            ProductFunctionSpec(factors=())
 
     def test_single_factor_with_zero_pole_is_rotation_of_z(self):
         factor = BlaschkeFactor(0j)
@@ -180,15 +184,15 @@ class TestSampledFunctions:
             sample_product_spec(seed=1, n=2, factors_per_coordinate=1).series(4000)
 
     def test_deterministic_in_seed(self):
-        f = sample_bounded_function(seed=42, n=2, factors_per_coordinate=2, K=6)
-        g = sample_bounded_function(seed=42, n=2, factors_per_coordinate=2, K=6)
+        f = sample_product_spec(seed=42, n=2, factors_per_coordinate=2).series(6)
+        g = sample_product_spec(seed=42, n=2, factors_per_coordinate=2).series(6)
         assert f.coeffs == g.coeffs
-        h = sample_bounded_function(seed=43, n=2, factors_per_coordinate=2, K=6)
+        h = sample_product_spec(seed=43, n=2, factors_per_coordinate=2).series(6)
         assert f.coeffs != h.coeffs
 
     def test_larger_truncation_refines_same_function(self):
-        f = sample_bounded_function(seed=9, n=2, factors_per_coordinate=2, K=4)
-        g = sample_bounded_function(seed=9, n=2, factors_per_coordinate=2, K=8)
+        f = sample_product_spec(seed=9, n=2, factors_per_coordinate=2).series(4)
+        g = sample_product_spec(seed=9, n=2, factors_per_coordinate=2).series(8)
         for alpha, c in f.coeffs.items():
             assert g.coeffs.get(alpha, 0j) == c
 
@@ -206,7 +210,7 @@ class TestSampledFunctions:
         # |a_alpha| <= 1 - |a_0|^2 for unit-bounded functions; checked on
         # every sampled coefficient, not assumed
         for seed in range(8):
-            f = sample_bounded_function(seed, 2, 2, K=10)
+            f = sample_product_spec(seed, 2, 2).series(10)
             a0 = abs(f.coeffs.get((0, 0), 0j))
             cap = 1 - a0 * a0
             for alpha, c in f.coeffs.items():

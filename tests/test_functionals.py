@@ -30,7 +30,7 @@ from polybohr import (
     functional_E,
     functional_rogosinski_uni,
     majorant_sum,
-    sample_bounded_function,
+    sample_product_spec,
     schwarz_power_map,
 )
 from polybohr.radii import branch_diagonal
@@ -111,7 +111,7 @@ class TestFunctionalB:
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_mode_dominance(self, N, seed):
-        f = sample_bounded_function(seed, 2, 2, K=16)
+        f = sample_product_spec(seed, 2, 2).series(16)
         z = (0.1 + 0.02j, -0.09 + 0.01j)
         omega = schwarz_power_map(2, 1)
         wide = functional_B(f, omega, z, FromDegree(N))
@@ -137,7 +137,7 @@ class TestFunctionalC:
 
     def test_t_one_bounded_head_holds(self):
         for seed in range(4):
-            f = sample_bounded_function(seed, 1, 2, K=12)
+            f = sample_product_spec(seed, 1, 2).series(12)
             rep = functional_C(f, schwarz_power_map(1, 1), (-0.5 + 0j,), t=1.0)
             assert rep.verdict is Verdict.HOLDS
 
@@ -277,7 +277,7 @@ class TestRogosinskiUnivariate:
 class TestStructuralProperties:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_monotone_in_radius(self, seed):
-        f = sample_bounded_function(seed, 2, 2, K=20)
+        f = sample_product_spec(seed, 2, 2).series(20)
         radii = [0.02, 0.05, 0.08, 0.11, 0.14]
         omega = schwarz_power_map(2, 1)
         for make in (
@@ -292,7 +292,7 @@ class TestStructuralProperties:
     def test_rogosinski_structure_matches_majorant_minus_head_block(self):
         # B(p=1, N=1, identity, multiples) at the real diagonal equals
         # |f(z)| + (majorant - block_0), recomputed directly
-        f = sample_bounded_function(8, 2, 2, K=16)
+        f = sample_product_spec(8, 2, 2).series(16)
         r = 0.1
         z = (-r + 0j, -r + 0j)
         rep = functional_B(f, schwarz_power_map(2, 1), z, MultiplesOf(1))
@@ -307,8 +307,6 @@ class TestStructuralProperties:
         # a HOLDS verdict cannot flip when K grows: the certified upper
         # bound value + tail is nonincreasing in K
         for seed in (0, 5):
-            from polybohr import sample_product_spec
-
             spec = sample_product_spec(seed, 2, 2)
             r = 0.15
             prev_bound = None
@@ -322,7 +320,7 @@ class TestStructuralProperties:
 
     def test_series_head_path_reports_tail(self):
         # without a closed form the composition error joins the tail bound
-        f = sample_bounded_function(2, 1, 2, K=10)
+        f = sample_product_spec(2, 1, 2).series(10)
         bare = TruncatedSeries(dim=1, max_degree=f.max_degree,
                                coeffs=f.coeffs, tail=f.tail)
         rep = functional_B(bare, schwarz_power_map(1, 1), (0.3 + 0j,),

@@ -21,7 +21,6 @@ from polybohr import (
     TruncatedSeries,
     check_holds_below,
     check_sharpness_above,
-    enumerate_multiindices,
     euler_derivative,
     eval_series,
     extremal_series,
@@ -36,6 +35,7 @@ from polybohr import (
 )
 from polybohr import families, verify
 from polybohr.series import squared_block_sums
+from test_series import brute_force_indices
 
 REL = 1e-13
 
@@ -107,7 +107,8 @@ def bits(v):
 
 class TestExtremalBitIdentity:
     """The streamed extremal build gives, bit for bit, the series of its
-    definition: keys in enumeration order, values ak * k!/alpha! from
+    definition: keys in colex order, that is sorted by the reversed tuple
+    from an independent enumeration, values ak * k!/alpha! from
     factorials, blocks summed in insertion order and parts multiplied term
     by term."""
 
@@ -118,7 +119,7 @@ class TestExtremalBitIdentity:
         want = {(0,) * n: complex(a)}
         for k in range(1, K + 1):
             ak = -(1.0 - a * a) * a ** (k - 1)
-            for alpha in enumerate_multiindices(n, k):
+            for alpha in sorted(brute_force_indices(n, k), key=lambda idx: idx[::-1]):
                 multinomial = math.factorial(k) // math.prod(map(math.factorial, alpha))
                 want[alpha] = ak * multinomial
         assert list(f.coeffs) == list(want)
@@ -145,7 +146,7 @@ class TestHoldBelowNeedsNoDict:
         def refuse(*args):
             raise AssertionError("the hot path enumerated multi-indices")
 
-        monkeypatch.setattr(families, "enumerate_multiindices", refuse)
+        monkeypatch.setattr(families, "colex_multinomials", refuse)
 
     @pytest.mark.parametrize("family", [Classical(3), EulerLambda(1, 2.0), AreaT(2, 0.8)],
                              ids=repr)
