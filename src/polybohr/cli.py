@@ -263,13 +263,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # sharpness first: it rejects a radius outside the polydisc before
     # the hold-below suite builds any series
     above = check_sharpness_above(config)
-    reports = [above] if args.sharpness else [check_holds_below(config), above]
+    reports = [above] if args.sharpness_only else [check_holds_below(config), above]
     echo = _echo_family_args(args, family)
     echo.update({"samples": args.samples, "seed": args.seed,
                  "factors": args.factors, "k_cap": args.k_cap,
                  "margin_below": args.margin_below,
                  "margin_above": args.margin_above,
-                 "sharpness_only": args.sharpness})
+                 "sharpness_only": args.sharpness_only})
     payload = {"suites": [_suite_payload(rep) for rep in reports],
                "passed": all(rep.passed for rep in reports)}
     _emit_record("verify", echo, payload)
@@ -371,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--margin-below", dest="margin_below", type=float, default=0.99)
         p.add_argument("--margin-above", dest="margin_above", type=float, default=0.02)
         if not sharp:
-            p.add_argument("--sharpness", action="store_true",
+            p.add_argument("--sharpness", dest="sharpness_only", action="store_true",
                            help="run only the sharpness-above suite")
-        p.set_defaults(run=cmd_verify, parser=p, sharpness=sharp)
+        p.set_defaults(run=cmd_verify, parser=p, sharpness_only=sharp)
 
     p_expand = subs.add_parser("expand", help="dump series coefficients")
     p_expand.add_argument("--family", dest="source", required=True,

@@ -20,7 +20,6 @@ from typing import Callable, ClassVar
 from .families import schwarz_power_map
 from .functionals import (
     FromDegree,
-    MultiplesOf,
     functional_A,
     functional_B,
     functional_C,
@@ -154,11 +153,9 @@ class RadiusFamily:
     def closed_form(self) -> RadiusResult | None:
         return None
 
-    def functional(self, f: TruncatedSeries, r: float,
-                   sharpness: bool = False) -> EvalReport:
+    def functional(self, f: TruncatedSeries, r: float) -> EvalReport:
         """The family's functional on f at equal polyradius r, at the
-        designated evaluation point; ``sharpness`` selects the tail form the
-        sharpness-above suite uses where the two differ."""
+        designated evaluation point."""
         raise NotImplementedError
 
 
@@ -190,7 +187,7 @@ class Classical(RadiusFamily):
         return RadiusResult(self, r, self.n * r, abs(self.poly(self.n * r)),
                             (0.0, r), "closed form")
 
-    def functional(self, f, r, sharpness=False):
+    def functional(self, f, r):
         return functional_A(f, r)
 
 
@@ -213,7 +210,7 @@ class RogosinskiUni(RadiusFamily):
         head = 2.0 if self.p == 1 else 1.0
         return head * (1.0 + r) * r ** self.N - (1.0 - r * r)
 
-    def functional(self, f, r, sharpness=False):
+    def functional(self, f, r):
         return functional_rogosinski_uni(f, (-r + 0.0j,), self.N, self.p)
 
 
@@ -233,14 +230,14 @@ class RmN(RadiusFamily):
     def poly(self, r: float) -> float:
         return 2.0 * r ** self.N * (1.0 + r ** self.m) - (1.0 - r) * (1.0 - r ** self.m)
 
-    def functional(self, f, r, sharpness=False):
+    def functional(self, f, r):
         return functional_B(f, schwarz_power_map(1, self.m),
                             branch_diagonal(1, self.m, r), FromDegree(self.N), p=1)
 
 
 @record
 class RmnN(RadiusFamily):
-    """Polydisc composition head with the multiples-of-N majorant tail."""
+    """Polydisc composition head with the majorant tail from degree N."""
 
     m: int
     n: int
@@ -261,10 +258,9 @@ class RmnN(RadiusFamily):
         nr = self.n * r
         return 2.0 * nr ** self.N * (1.0 + r ** self.m) - (1.0 - nr) * (1.0 - r ** self.m)
 
-    def functional(self, f, r, sharpness=False):
-        mode = FromDegree(self.N) if sharpness else MultiplesOf(self.N)
+    def functional(self, f, r):
         return functional_B(f, schwarz_power_map(self.n, self.m),
-                            branch_diagonal(self.n, self.m, r), mode, p=1)
+                            branch_diagonal(self.n, self.m, r), FromDegree(self.N), p=1)
 
 
 @record
@@ -282,7 +278,7 @@ class AN(RadiusFamily):
     def poly(self, x: float) -> float:
         return 2.0 * x ** self.N + x - 1.0
 
-    def functional(self, f, r, sharpness=False):
+    def functional(self, f, r):
         raise ValueError("the large-m limit family has no functional to verify; "
                          "use radius or limits")
 
@@ -316,7 +312,7 @@ class ConvexT(RadiusFamily):
         r = (1.0 - 2.0 * math.sqrt(1.0 - self.t)) / (4.0 * self.t - 3.0)
         return RadiusResult(self, r, r, abs(self.poly(r)), (0.0, r), "closed form")
 
-    def functional(self, f, r, sharpness=False):
+    def functional(self, f, r):
         return functional_C(f, schwarz_power_map(1, 1), (-r + 0.0j,), self.t)
 
 
@@ -345,7 +341,7 @@ class ConvexMNT(RadiusFamily):
                 + (2.0 * t - 3.0) * scale * x
                 + scale)
 
-    def functional(self, f, r, sharpness=False):
+    def functional(self, f, r):
         return functional_C(f, schwarz_power_map(self.n, self.m),
                             branch_diagonal(self.n, self.m, r), self.t)
 
@@ -374,7 +370,7 @@ class EulerLambda(RadiusFamily):
                      + (2.0 * lam - 1.0)) * x + 3.0) * x - 1.0
         return ((x + 1.0) * x * x + 3.0) * x - 1.0
 
-    def functional(self, f, r, sharpness=False):
+    def functional(self, f, r):
         return functional_D(f, (-r + 0.0j,) * self.n, self.lam)
 
 
@@ -407,7 +403,7 @@ class AreaT(RadiusFamily):
         return RadiusResult(self, x / self.n, x, 0.0, (0.0, x),
                             "closed form (clamped branch)")
 
-    def functional(self, f, r, sharpness=False):
+    def functional(self, f, r):
         return functional_E(f, r, self.t)
 
 

@@ -17,11 +17,6 @@ Each family's ``functional`` (in radii) evaluates at its designated point:
 the diagonal (r, ..., r) for the plain majorant and area functionals,
 (-r, ..., -r) for the radial-derivative functional, and the diagonal
 r * exp(i pi (2m-1)/m) for composition functionals of order m.
-
-Sharpness of the composition family uses the from-degree-N tail: that is the
-index set under which the extremal schedule's closed-form value exceeds one
-just above the radius (the multiples-of-N value stays below one there), while
-hold-below checks the multiples-of-N form that the inequality itself uses.
 """
 
 from __future__ import annotations
@@ -185,7 +180,7 @@ def check_sharpness_above(config: SuiteConfig) -> SuiteReport:
     for i, a in enumerate(config.a_schedule):
         spec = ExtremalSpec(a=a, n=config.family.dim)
         rep, K = _escalate(lambda K: config.family.functional(
-            extremal_series(spec, K), r, sharpness=True), config.k_start, cap)
+            extremal_series(spec, K), r), config.k_start, cap)
         cases.append(CaseResult(i, 0, rep.verdict.value, rep.value,
                                 rep.tail_bound, K, f"a={a!r} {rep.detail}"))
         if rep.verdict is Verdict.VIOLATED and witness is None:

@@ -9,14 +9,19 @@ from polybohr import (
     Classical,
     ConvexT,
     EulerLambda,
+    FromDegree,
+    MultiplesOf,
     RmnN,
     SuiteConfig,
     audit_lemmas,
     check_holds_below,
     check_sharpness_above,
     euler_closed_form_check,
+    functional_B,
+    schwarz_power_map,
 )
 from polybohr import verify
+from polybohr.families import sample_product_spec
 from polybohr.radii import branch_diagonal
 from polybohr.series import DivergentTailError
 from polybohr.verify import case_seed
@@ -52,6 +57,24 @@ class TestHoldsBelow:
         assert report.passed, report.failures
         assert report.counts["HOLDS"] == 40
         assert report.worst_slack > 0
+
+    @pytest.mark.parametrize("family", [
+        RmnN(m=2, n=1, N=2), RmnN(m=2, n=1, N=3), RmnN(m=1, n=3, N=2),
+    ])
+    def test_composition_families_with_N_above_one_hold(self, family):
+        report = check_holds_below(SuiteConfig(family=family))
+        assert report.counts["HOLDS"] == 200, report.failures
+
+    def test_composition_suite_judges_the_tail_from_degree_N(self):
+        # the radius equation is sharp for the tail over every degree >= N;
+        # the multiples-of-N tail gives a different value on the same series
+        report = check_holds_below(SuiteConfig(family=RmnN(m=2, n=1, N=2), samples=5))
+        omega = schwarz_power_map(1, 2)
+        z = branch_diagonal(1, 2, report.eval_radius)
+        for case in report.cases:
+            f = sample_product_spec(case.seed, 1, 3).series(case.k_used)
+            assert case.value == functional_B(f, omega, z, FromDegree(2)).value
+            assert case.value != functional_B(f, omega, z, MultiplesOf(2)).value
 
     def test_escalation_resolves_inconclusive(self, monkeypatch):
         # a tiny starting truncation leaves a visible tail which doubling removes
