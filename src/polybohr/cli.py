@@ -100,15 +100,19 @@ def _emit_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
 
 def _build_family(args: argparse.Namespace) -> RadiusFamily:
     """The family named by --family, its fields read from the flags of the
-    same names; a field whose flag has no default must be given."""
+    same names.  A flag the family does not take is an error; --n and --p
+    default to 1, and every other field's flag must be given."""
     cls = FAMILIES[args.family]
+    flags = {"n": "--n", "m": "--m", "N": "--N", "p": "--p", "t": "--t", "lam": "--lambda"}
+    for name, flag in flags.items():
+        if getattr(args, name) is not None and name not in cls.__match_args__:
+            raise ValueError(f"family {args.family!r} does not take {flag}")
     values = {}
     for name in cls.__match_args__:
         values[name] = getattr(args, name)
-        if values[name] is None:
-            flag = "--lambda" if name == "lam" else f"--{name}"
-            raise ValueError(f"family {args.family!r} requires {flag}")
-    return cls(**values)
+        if values[name] is None and name not in ("n", "p"):
+            raise ValueError(f"family {args.family!r} requires {flags[name]}")
+    return cls(**{k: 1 if v is None else v for k, v in values.items()})
 
 
 def _family_flags(sub: argparse.ArgumentParser) -> None:
@@ -116,10 +120,10 @@ def _family_flags(sub: argparse.ArgumentParser) -> None:
                      type=lambda s: s.lower(),
                      choices=tuple(FAMILIES),
                      help="radius family (case-insensitive)")
-    sub.add_argument("--n", type=int, default=1, help="polydisc dimension")
+    sub.add_argument("--n", type=int, default=None, help="polydisc dimension")
     sub.add_argument("--m", type=int, default=None, help="composition order")
     sub.add_argument("--N", type=int, default=None, help="tail start degree")
-    sub.add_argument("--p", type=int, default=1, choices=(1, 2),
+    sub.add_argument("--p", type=int, default=None, choices=(1, 2),
                      help="modulus power for the rogosinski family")
     sub.add_argument("--t", type=float, default=None, help="convex weight")
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -127,7 +131,7 @@ def _family_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _echo_family_args(args: argparse.Namespace, family: RadiusFamily) -> dict:
-    echo: dict[str, Any] = {"family": args.family, "n": args.n}
+    echo: dict[str, Any] = {"family": args.family, "n": family.dim}
     for key in ("m", "N", "t", "lam"):
         val = getattr(args, key)
         if val is not None:

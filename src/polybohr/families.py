@@ -253,38 +253,18 @@ class ProductFunctionSpec:
                 value *= f.eval(zi)
         return value
 
-    def coordinate_eval(self, i: int, z: complex) -> complex:
-        value = 1.0 + 0.0j
-        for f in self.factors[i]:
-            value *= f.eval(z)
-        return value
-
-    def coordinate_deriv(self, i: int, z: complex) -> complex:
-        """Product-rule derivative of the i-th coordinate factor."""
-        facs = self.factors[i]
-        total = 0.0 + 0.0j
-        for j, fj in enumerate(facs):
-            term = fj.deriv(z)
-            for l, fl in enumerate(facs):
-                if l != j:
-                    term *= fl.eval(z)
-            total += term
-        return total
-
     def euler_eval(self, z: Point) -> complex:
-        """Exact radial derivative sum_i z_i d/dz_i of the product at z."""
+        """Exact radial derivative sum_i z_i d/dz_i of the product at z, by one
+        product-rule pass: after each factor b = B(z_i), ``value`` is the
+        product so far and ``total`` its radial derivative."""
         if len(z) != self.dim:
             raise ValueError(f"point dimension {len(z)} != {self.dim}")
-        phase = cmath.exp(1j * self.phase)
-        coord_vals = [self.coordinate_eval(i, zi) for i, zi in enumerate(z)]
-        total = 0.0 + 0.0j
-        for i, zi in enumerate(z):
-            term = zi * self.coordinate_deriv(i, zi)
-            for l, v in enumerate(coord_vals):
-                if l != i:
-                    term *= v
-            total += term
-        return phase * total
+        value, total = cmath.exp(1j * self.phase), 0j
+        for zi, facs in zip(z, self.factors):
+            for f in facs:
+                b = f.eval(zi)
+                value, total = value * b, total * b + value * zi * f.deriv(zi)
+        return total
 
     def coordinate_coefficients(self, i: int, K: int) -> list[complex]:
         coeffs = [1.0 + 0.0j] + [0j] * K

@@ -25,10 +25,10 @@ from .report import EvalReport, record
 from .series import (
     TruncatedSeries,
     area_sum,
+    block_sum,
     eval_series,
     euler_derivative,
     inf_norm,
-    majorant_block_sums,
     majorant_sum,
     Point,
 )
@@ -61,16 +61,6 @@ class MultiplesOf:
         return self.N
 
 
-def _mode_sum(f: TruncatedSeries, r: float,
-              mode: FromDegree | MultiplesOf) -> tuple[float, float]:
-    """Majorant mass over the index set {N, N + step, ...} and its remainder."""
-    blocks = majorant_block_sums(f)
-    value = 0.0
-    for k in range(mode.N, f.max_degree + 1, mode.step):
-        value += blocks[k] * r ** k
-    return value, f.tail_sum(r, start=mode.N, step=mode.step)
-
-
 def _composition_modulus(f: TruncatedSeries, w: Point) -> tuple[float, float, str]:
     """|f(w)| with an error bound: exact when a closed form is carried,
     otherwise truncated evaluation plus the series tail at |w|."""
@@ -100,7 +90,7 @@ def functional_B(f: TruncatedSeries, omega: SchwarzMapSpec, z: Point,
         # | |f|^2 - head^2 | <= err * (2 head + err)
         head_err = head_err * (2.0 * head + head_err)
         head = head * head
-    tail_value, tail_rest = _mode_sum(f, r, mode)
+    tail_value, tail_rest = block_sum(f, r, mode.N, mode.step)
     return EvalReport.build(head + tail_value, head_err + tail_rest,
                             detail=f"head={path}")
 
@@ -132,7 +122,7 @@ def functional_D(f: TruncatedSeries, z: Point, lam: float) -> EvalReport:
     df = euler_derivative(f)
     dval = abs(eval_series(df, z))
     derr = df.tail_sum(r)
-    mid_value, mid_tail = _mode_sum(f, r, FromDegree(2))
+    mid_value, mid_tail = block_sum(f, r, 2)
     value = head + dval + lam * mid_value
     tail = head_err + derr + lam * mid_tail
     return EvalReport.build(value, tail, detail=f"head={path}")

@@ -128,7 +128,7 @@ class RadiusFamily:
 
     Subclasses are frozen ``@record`` classes whose fields are the family's
     parameters, named as the CLI flags that set them (``lam`` is
-    ``--lambda``).  Each defines ``name``, its ``--family`` name, and
+    ``--lambda``).  Each has ``name``, its ``--family`` name, and
     ``poly(v)``, the defining polynomial in the solve variable ``solve_var``
     (``"r"`` or ``"x"`` = n r).  The radius is the root of ``poly`` on
     (0, ``bracket_hi``]: the unique one, or the minimum positive one when
@@ -216,39 +216,19 @@ class RogosinskiUni(RadiusFamily):
 
 @record
 class RmN(RadiusFamily):
-    """Univariate composition head |f(z^m)| with a degree >= N tail."""
+    """Composition head |f(z^m)| with the majorant tail from degree N in
+    dimension ``n``: 1 here, where n r is r exactly, and a field of RmnN."""
 
     m: int
     N: int
+    n: ClassVar[int] = 1
     name = "rmn"
     solve_var = "r"
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.N < 1:
-            raise ValueError(f"m, N must be >= 1, got m={self.m}, N={self.N}")
-
-    def poly(self, r: float) -> float:
-        return 2.0 * r ** self.N * (1.0 + r ** self.m) - (1.0 - r) * (1.0 - r ** self.m)
-
-    def functional(self, f, r):
-        return functional_B(f, schwarz_power_map(1, self.m),
-                            branch_diagonal(1, self.m, r), FromDegree(self.N), p=1)
-
-
-@record
-class RmnN(RadiusFamily):
-    """Polydisc composition head with the majorant tail from degree N."""
-
-    m: int
-    n: int
-    N: int
-    name = "rmnn"
-    solve_var = "r"
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1 or self.N < 1:
-            raise ValueError(
-                f"m, n, N must be >= 1, got m={self.m}, n={self.n}, N={self.N}")
+        if min(getattr(self, k) for k in self.__match_args__) < 1:
+            got = ", ".join(f"{k}={getattr(self, k)}" for k in self.__match_args__)
+            raise ValueError(f"{', '.join(self.__match_args__)} must be >= 1, got {got}")
 
     @property
     def bracket_hi(self) -> float:
@@ -261,6 +241,17 @@ class RmnN(RadiusFamily):
     def functional(self, f, r):
         return functional_B(f, schwarz_power_map(self.n, self.m),
                             branch_diagonal(self.n, self.m, r), FromDegree(self.N), p=1)
+
+
+@record
+class RmnN(RmN):
+    """Polydisc composition head with the majorant tail from degree N: RmN
+    with the dimension n as a field."""
+
+    m: int
+    n: int
+    N: int
+    name = "rmnn"
 
 
 @record

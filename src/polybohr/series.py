@@ -229,16 +229,25 @@ def squared_block_sums(f: TruncatedSeries) -> list[float]:
     return list(f.squared)
 
 
+def block_sum(f: TruncatedSeries, r: float, start: int = 0,
+              step: int = 1) -> tuple[float, float]:
+    """Majorant mass sum_k block_k r^k over the degrees {start, start + step,
+    ...}: the explicit blocks up to the truncation, and the certified bound
+    on the rest.  ``start`` is a multiple of ``step``, as the tail's degrees
+    are."""
+    blocks = majorant_block_sums(f)
+    value = 0.0
+    for k in range(start, f.max_degree + 1, step):
+        value += blocks[k] * r ** k
+    return value, f.tail_sum(r, start, step)
+
+
 def majorant_sum(f: TruncatedSeries, r: float) -> EvalReport:
     """Majorant value sum_k block_k r^k with a certified remainder, reported
     against 1."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    blocks = majorant_block_sums(f)
-    value = 0.0
-    for k, b in enumerate(blocks):
-        value += b * r ** k
-    return EvalReport.build(value, f.tail_sum(r), detail="majorant")
+    return EvalReport.build(*block_sum(f, r), detail="majorant")
 
 
 def euler_derivative(f: TruncatedSeries) -> TruncatedSeries:

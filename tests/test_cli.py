@@ -258,8 +258,10 @@ class TestFamilyRegistry:
     DEFAULTED = {"n", "p"}  # the CLI gives these flags a default
 
     def test_every_family_class_is_registered(self):
+        # every proper subclass of RadiusFamily, inherited poly included
         classes = {cls for cls in vars(radii).values()
-                   if isinstance(cls, type) and "poly" in vars(cls)}
+                   if isinstance(cls, type) and issubclass(cls, radii.RadiusFamily)
+                   and cls is not radii.RadiusFamily}
         assert classes == set(radii.FAMILIES.values())
 
     def test_family_choices_are_registered_names(self, capsys):
@@ -318,6 +320,25 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage: polybohr {argv[0]} ")
         assert f"polybohr {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["radius", "--family", "rmn", "--m", "2", "--N", "3", "--n", "3"],
+        ["radius", "--family", "rmn", "--m", "2", "--N", "3", "--n", "1"],
+        ["radius", "--family", "classical", "--n", "2", "--p", "2"],
+        ["radius", "--family", "convext", "--t", "0.5", "--m", "2"],
+        ["radius", "--family", "rogosinski", "--N", "2", "--n", "2"],
+        ["radius", "--family", "euler", "--n", "1", "--lambda", "0.5", "--t", "0.4"],
+        ["radius", "--family", "area", "--n", "1", "--t", "0.4", "--lambda", "2"],
+        ["verify", "--family", "rmnn", "--m", "2", "--n", "1", "--N", "2", "--p", "1"],
+        ["sharpness", "--family", "an", "--n", "2", "--N", "3", "--m", "2"],
+    ], ids=" ".join)
+    def test_a_flag_the_family_does_not_take_is_a_usage_error(self, argv):
+        # Formerly dropped: rmn with --n 3 printed the n = 1 radius and
+        # echoed "n": 3.  The flag it does not take comes last.
+        code, out, err = main_in_process(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: polybohr {argv[0]} ")
+        assert err.endswith(f"error: family {argv[2]!r} does not take {argv[-2]}\n")
 
     @pytest.mark.parametrize("margin", ["1", "1e300", "inf"])
     def test_margin_above_of_one_or_more_is_a_usage_error(self, margin):

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -247,6 +248,33 @@ class TestSampledFunctions:
         series_val = eval_series(euler_derivative(f), z)
         exact = spec.euler_eval(z)
         assert abs(series_val - exact) <= euler_derivative(f).tail_sum(inf_norm(z)) + 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("factors", [0, 1, 3])
+    def test_euler_eval_is_the_derivative_of_t_to_f_of_tz(self, n, factors):
+        # independent reference: d/dt f(t z) at t = 1, by mpmath at 40
+        # digits on the product itself, at two points and at one where a
+        # coordinate equals a pole parameter, so that its factor vanishes
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        for seed in range(4):
+            spec = sample_product_spec(seed + 10 * n + 100 * factors, n, factors)
+            rng = Lcg64(seed)
+            points = [tuple(rng.uniform(0, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                            for _ in range(n)) for _ in range(2)]
+            if factors:
+                points.append((spec.factors[0][-1].w,) + points[0][1:])
+            for z in points:
+                def g(t):
+                    value = mp.expj(spec.phase)
+                    for zi, facs in zip(z, spec.factors):
+                        for b in facs:
+                            w = mp.mpc(b.w)
+                            value *= (w - t * zi) / (1 - mp.conj(w) * t * zi)
+                    return value
+                ref = complex(mp.diff(g, 1))
+                got = spec.euler_eval(z)
+                assert abs(got - ref) <= 1e-13 * abs(ref) if ref else got == 0
 
 
 class TestSchwarzMaps:

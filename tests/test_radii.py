@@ -21,6 +21,7 @@ from polybohr import (
     limit_sweep_m,
     limit_sweep_N,
     min_positive_root,
+    sample_product_spec,
     solve,
 )
 
@@ -140,6 +141,22 @@ class TestRogosinskiFamilies:
         # m = 1, N = 1: r^2 + 4r - 1 = 0, root sqrt(5) - 2
         res = solve(RmN(m=1, N=1))
         assert res.radius_r == pytest.approx(math.sqrt(5) - 2, abs=1e-13)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_rmnn_in_one_dimension_is_rmn_bit_for_bit(self, m):
+        # RmnN extends RmN by the dimension; at n = 1 both must give the
+        # same radius, bracket, residual and functional, to the last bit
+        for N in range(1, 6):
+            uni, poly = solve(RmN(m=m, N=N)), solve(RmnN(m=m, n=1, N=N))
+            assert [x.hex() for x in (uni.radius_r, uni.radius_x, uni.residual, *uni.bracket)] \
+                == [x.hex() for x in (poly.radius_r, poly.radius_x, poly.residual, *poly.bracket)]
+            assert uni.multiplicity_note == poly.multiplicity_note
+            for seed in range(5):
+                f = sample_product_spec(100 * m + 10 * N + seed, 1, 3).series(12)
+                a = RmN(m=m, N=N).functional(f, uni.radius_r)
+                b = RmnN(m=m, n=1, N=N).functional(f, uni.radius_r)
+                assert (a.value.hex(), a.tail_bound.hex(), a.verdict, a.detail) \
+                    == (b.value.hex(), b.tail_bound.hex(), b.verdict, b.detail)
 
     @pytest.mark.parametrize("family", [
         RogosinskiUni(N=3, p=1), RmN(m=2, N=2), RmnN(m=2, n=2, N=2),
