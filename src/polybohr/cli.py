@@ -38,8 +38,10 @@ from .verify import SuiteConfig, SuiteReport, check_holds_below, check_sharpness
 
 SCHEMA_VERSION = 1
 
-TABLE_NAMES = ("thmC-limits", "thm2.2-sweepN", "thm2.2-sweepM",
-               "thmF-piecewise", "thm2.3-grid")
+# The flags each table reads besides --format, by parser dest
+TABLE_READS = {"thmC-limits": ("N_max",), "thm2.2-sweepN": ("m", "n", "N_max"),
+               "thm2.2-sweepM": ("n", "N", "m_list"), "thmF-piecewise": ("n", "t_steps"),
+               "thm2.3-grid": ("m", "n", "t_steps")}
 
 
 def _fmt_float(x: float) -> str:
@@ -98,21 +100,33 @@ def _emit_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
     sys.stdout.write("\n".join(out) + "\n")
 
 
+def _flag(dest: str) -> str:
+    return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+
+
+def _take_flags(args: argparse.Namespace, owner: str, reads: Sequence[str],
+                **defaults: Any) -> None:
+    """Give each flag named in ``defaults`` that is absent (None, the
+    parser's default) its default; a given flag that ``owner`` does not
+    read is an error."""
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in reads:
+            raise ValueError(f"{owner} does not take {_flag(dest)}")
+
+
 def _build_family(args: argparse.Namespace) -> RadiusFamily:
     """The family named by --family, its fields read from the flags of the
     same names.  A flag the family does not take is an error; --n and --p
     default to 1, and every other field's flag must be given."""
     cls = FAMILIES[args.family]
-    flags = {"n": "--n", "m": "--m", "N": "--N", "p": "--p", "t": "--t", "lam": "--lambda"}
-    for name, flag in flags.items():
-        if getattr(args, name) is not None and name not in cls.__match_args__:
-            raise ValueError(f"family {args.family!r} does not take {flag}")
-    values = {}
+    owner = f"family {args.family!r}"
+    _take_flags(args, owner, cls.__match_args__, n=1, m=None, N=None, p=1, t=None, lam=None)
     for name in cls.__match_args__:
-        values[name] = getattr(args, name)
-        if values[name] is None and name not in ("n", "p"):
-            raise ValueError(f"family {args.family!r} requires {flags[name]}")
-    return cls(**{k: 1 if v is None else v for k, v in values.items()})
+        if getattr(args, name) is None:
+            raise ValueError(f"{owner} requires {_flag(name)}")
+    return cls(**{name: getattr(args, name) for name in cls.__match_args__})
 
 
 def _family_flags(sub: argparse.ArgumentParser) -> None:
@@ -166,6 +180,8 @@ def _parse_int_list(raw: str) -> list[int]:
 
 def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
     name = args.name
+    _take_flags(args, f"table {name!r}", TABLE_READS[name], n=1, m=None, N=None,
+                N_max=10, m_list="1,2,5,20,100", t_steps=20)
     if args.t_steps < 1:
         raise ValueError(f"--t-steps must be >= 1, got {args.t_steps}")
     if args.N_max < 1:
@@ -203,7 +219,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
             branch = "cubic" if t < 9.0 / 17.0 else "clamped"
             rows.append([t, res.radius_r, res.radius_x, branch])
         return columns, rows
-    # thm2.3-grid, the last of TABLE_NAMES, which --name is restricted to
+    # thm2.3-grid, the last of TABLE_READS, which --name is restricted to
     columns = ["t", "radius_r", "radius_x", "note"]
     rows = []
     steps = args.t_steps
@@ -281,6 +297,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
+    reads = ("a",) if args.source == "extremal" else ("seed", "factors")
+    _take_flags(args, f"family {args.source!r}", reads, a=0.5, seed=0, factors=2)
     if args.source == "extremal":
         series = extremal_series(ExtremalSpec(a=args.a, n=args.n), args.K)
         echo: dict[str, Any] = {"source": "extremal", "a": args.a,
@@ -311,15 +329,16 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_limits(args: argparse.Namespace) -> int:
     if (args.N_list is None) == (args.m_list is None):
         raise ValueError("limits needs exactly one of --N-list or --m-list")
-    if args.N_list is not None:
+    axis = "N" if args.N_list is not None else "m"
+    # the N sweep holds m fixed, the m sweep N
+    _take_flags(args, f"limits --{axis}-list", ("m",) if axis == "N" else ("N",), m=1, N=1)
+    if axis == "N":
         values = _parse_int_list(args.N_list)
         sweep = limit_sweep_N(args.m, args.n, values)
-        axis = "N"
         target = None
     else:
         values = _parse_int_list(args.m_list)
         sweep = limit_sweep_m(args.n, args.N, values)
-        axis = "m"
         target = solve(AN(n=args.n, N=args.N)).radius_x
     rows = [{axis: v, "radius_r": res.radius_r, "radius_x": res.radius_x,
              "residual": res.residual}
@@ -353,14 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.set_defaults(run=cmd_radius, parser=p_radius)
 
     p_table = subs.add_parser("table", help="emit a named reproduction table")
-    p_table.add_argument("--name", required=True, choices=TABLE_NAMES,
+    p_table.add_argument("--name", required=True, choices=tuple(TABLE_READS),
                          help="which table to reproduce")
-    p_table.add_argument("--n", type=int, default=1)
+    p_table.add_argument("--n", type=int, default=None)
     p_table.add_argument("--m", type=int, default=None)
     p_table.add_argument("--N", type=int, default=None)
-    p_table.add_argument("--N-max", dest="N_max", type=int, default=10)
-    p_table.add_argument("--m-list", dest="m_list", default="1,2,5,20,100")
-    p_table.add_argument("--t-steps", dest="t_steps", type=int, default=20)
+    p_table.add_argument("--N-max", dest="N_max", type=int, default=None)
+    p_table.add_argument("--m-list", dest="m_list", default=None)
+    p_table.add_argument("--t-steps", dest="t_steps", type=int, default=None)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.set_defaults(run=cmd_table, parser=p_table)
 
@@ -382,18 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = subs.add_parser("expand", help="dump series coefficients")
     p_expand.add_argument("--family", dest="source", required=True,
                           choices=("extremal", "blaschke-sample"))
-    p_expand.add_argument("--a", type=float, default=0.5)
+    p_expand.add_argument("--a", type=float, default=None)
     p_expand.add_argument("--n", type=int, default=1)
     p_expand.add_argument("--K", type=int, default=8)
-    p_expand.add_argument("--seed", type=int, default=0)
-    p_expand.add_argument("--factors", type=int, default=2)
+    p_expand.add_argument("--seed", type=int, default=None)
+    p_expand.add_argument("--factors", type=int, default=None)
     p_expand.add_argument("--format", choices=("csv", "json"), default="json")
     p_expand.set_defaults(run=cmd_expand, parser=p_expand)
 
     p_limits = subs.add_parser("limits", help="convergence sweeps in N or m")
-    p_limits.add_argument("--m", type=int, default=1)
+    p_limits.add_argument("--m", type=int, default=None)
     p_limits.add_argument("--n", type=int, default=1)
-    p_limits.add_argument("--N", type=int, default=1)
+    p_limits.add_argument("--N", type=int, default=None)
     p_limits.add_argument("--N-list", dest="N_list", default=None)
     p_limits.add_argument("--m-list", dest="m_list", default=None)
     p_limits.set_defaults(run=cmd_limits, parser=p_limits)

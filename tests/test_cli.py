@@ -340,6 +340,39 @@ class TestErrorPaths:
         assert err.startswith(f"usage: polybohr {argv[0]} ")
         assert err.endswith(f"error: family {argv[2]!r} does not take {argv[-2]}\n")
 
+    UNREAD = [
+        (["table", "--name", "thmC-limits", "--n", "3"],
+         "table 'thmC-limits' does not take --n"),
+        (["table", "--name", "thm2.2-sweepN", "--m", "2", "--N", "5", "--N-max", "2"],
+         "table 'thm2.2-sweepN' does not take --N"),
+        (["table", "--name", "thm2.2-sweepM", "--n", "1", "--t-steps", "4"],
+         "table 'thm2.2-sweepM' does not take --t-steps"),
+        (["table", "--name", "thmF-piecewise", "--n", "2", "--m-list", "1,2"],
+         "table 'thmF-piecewise' does not take --m-list"),
+        (["table", "--name", "thm2.3-grid", "--m", "2", "--N-max", "3"],
+         "table 'thm2.3-grid' does not take --N-max"),
+        (["limits", "--m", "2", "--n", "1", "--N", "7", "--N-list", "1,2"],
+         "limits --N-list does not take --N"),
+        (["limits", "--m", "3", "--n", "1", "--m-list", "1,2"],
+         "limits --m-list does not take --m"),
+        (["expand", "--family", "extremal", "--n", "2", "--seed", "9", "--factors", "3"],
+         "family 'extremal' does not take --seed"),
+        (["expand", "--family", "blaschke-sample", "--a", "0.7"],
+         "family 'blaschke-sample' does not take --a"),
+        # the axis error comes first
+        (["limits", "--N", "7", "--N-list", "1", "--m-list", "1"],
+         "limits needs exactly one of --N-list or --m-list"),
+    ]
+
+    @pytest.mark.parametrize("argv,error", UNREAD, ids=[" ".join(a) for a, _ in UNREAD])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, argv, error):
+        # Formerly dropped: thmC-limits with --n 3 solved AN(n=1, N) and
+        # echoed "n": 3.
+        code, out, err = main_in_process(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: polybohr {argv[0]} ")
+        assert err.endswith(f"error: {error}\n")
+
     @pytest.mark.parametrize("margin", ["1", "1e300", "inf"])
     def test_margin_above_of_one_or_more_is_a_usage_error(self, margin):
         # Formerly an OverflowError record: the radius left the unit polydisc.
