@@ -4,18 +4,20 @@ Commands: ``radius`` (solve one family), ``table`` (named reproduction
 tables), ``verify`` / ``sharpness`` (run the hold-below and sharpness-above
 suites), ``expand`` (coefficient dumps), ``limits`` (convergence sweeps).
 
-Every command writes a single structured record (JSON, LF line endings) with
+Every command writes one ``json.dumps(record, indent=2)`` record with
 ``schema_version``, an echo of the arguments, and a family-specific payload;
-tables stream CSV with ``--format csv``.  Floats are serialized with 17
-significant digits so binary64 values round-trip exactly.  Exit status: 0 on
-success, 1 when a suite fails or the computation fails (an ``error`` record),
-2 on usage errors, printed under the subcommand's own usage line.  The first
-``main`` call builds the parser; later calls reuse it.
+tables stream ``csv.writer`` rows with ``--format csv``.  Floats are written
+as their ``repr``, which parses back to the same binary64.  Exit status: 0
+on success, 1 when a suite fails or the computation fails (an ``error``
+record), 2 on usage errors, such as a flag the command does not read,
+printed under the subcommand's own usage line.  The first ``main`` call
+builds the parser; later calls reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -44,35 +46,6 @@ TABLE_READS = {"thmC-limits": ("N_max",), "thm2.2-sweepN": ("m", "n", "N_max"),
                "thm2.3-grid": ("m", "n", "t_steps")}
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _to_json(obj: Any, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
-
-
 def _emit_record(command: str, args_echo: dict, payload: dict) -> None:
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -80,24 +53,13 @@ def _emit_record(command: str, args_echo: dict, payload: dict) -> None:
         "args": args_echo,
         "payload": payload,
     }
-    sys.stdout.write(_to_json(record) + "\n")
-
-
-def _csv_cell(v: Any) -> str:
-    if isinstance(v, float):
-        s = _fmt_float(v)
-    else:
-        s = str(v)
-    if any(c in s for c in ",\"\n"):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
+    sys.stdout.write(json.dumps(record, indent=2) + "\n")
 
 
 def _emit_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    out = [",".join(columns)]
-    for row in rows:
-        out.append(",".join(_csv_cell(v) for v in row))
-    sys.stdout.write("\n".join(out) + "\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
 
 
 def _flag(dest: str) -> str:
@@ -106,9 +68,8 @@ def _flag(dest: str) -> str:
 
 def _take_flags(args: argparse.Namespace, owner: str, reads: Sequence[str],
                 **defaults: Any) -> None:
-    """Give each flag named in ``defaults`` that is absent (None, the
-    parser's default) its default; a given flag that ``owner`` does not
-    read is an error."""
+    """Set each flag in ``defaults`` that is absent (None, the parser's
+    default) to its default; a given one that ``owner`` does not read is an error."""
     for dest, default in defaults.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -244,8 +205,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 echo[key] = getattr(args, key)
         echo.update({"N_max": args.N_max, "m_list": args.m_list,
                      "t_steps": args.t_steps})
-        _emit_record("table", echo,
-                     {"columns": list(columns), "rows": [list(r) for r in rows]})
+        _emit_record("table", echo, {"columns": columns, "rows": rows})
     return 0
 
 

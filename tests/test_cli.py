@@ -71,10 +71,17 @@ class TestRadiusCommand:
 
     def test_seventeen_digit_serialization(self):
         proc = run_cli("radius", "--family", "rmn", "--m", "1", "--N", "1")
-        # sqrt(5) - 2 printed with 17 significant digits round-trips exactly
+        # sqrt(5) - 2 is printed as its repr, at most 17 significant digits,
+        # which parses back to the same binary64
         payload = payload_of(proc)
         assert "0.2360679774997" in proc.stdout
         assert payload["radius_r"] == pytest.approx(5 ** 0.5 - 2, abs=1e-13)
+
+    def test_an_integral_float_is_read_back_as_a_float(self):
+        # formerly "bracket_lo": 0, which a JSON reader takes for an int
+        code, out, _ = main_in_process(["radius", "--family", "classical", "--n", "2"])
+        assert code == 0
+        assert type(json.loads(out)["payload"]["bracket_lo"]) is float
 
 
 class TestTableCommand:
