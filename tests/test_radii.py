@@ -13,11 +13,13 @@ from polybohr import (
     ConvexMNT,
     ConvexT,
     EulerLambda,
+    ExtremalSpec,
     NoSignChangeError,
     RmN,
     RmnN,
     RogosinskiUni,
     bracketed_bisection,
+    extremal_series,
     limit_sweep_m,
     limit_sweep_N,
     min_positive_root,
@@ -158,6 +160,19 @@ class TestRogosinskiFamilies:
                 assert (a.value.hex(), a.tail_bound.hex(), a.verdict, a.detail) \
                     == (b.value.hex(), b.tail_bound.hex(), b.verdict, b.detail)
 
+    @pytest.mark.parametrize("N,p", [(1, 1), (2, 2), (4, 1)])
+    @pytest.mark.parametrize("a", [0.3, 0.9])
+    def test_rogosinski_functional_on_the_extremal_function(self, N, p, a):
+        # f_a(-r) = (a + r)/(1 + a r), and f_a's coefficients from degree N
+        # majorize to (1 - a^2) a^{N-1} r^N/(1 - a r)
+        family = RogosinskiUni(N=N, p=p)
+        r = solve(family).radius_r
+        exact = (((a + r) / (1 + a * r)) ** p
+                 + (1 - a * a) * a ** (N - 1) * r ** N / (1 - a * r))
+        rep = family.functional(extremal_series(ExtremalSpec(a, 1), 60), r)
+        assert rep.value <= exact * (1 + 1e-12)
+        assert exact <= (rep.value + rep.tail_bound) * (1 + 1e-12)
+
     @pytest.mark.parametrize("family", [
         RogosinskiUni(N=3, p=1), RmN(m=2, N=2), RmnN(m=2, n=2, N=2),
         AN(n=2, N=4), EulerLambda(n=1, lam=0.8), AreaT(n=1, t=0.3),
@@ -247,6 +262,20 @@ class TestConvexMNT:
         with pytest.raises(NoSignChangeError) as err:
             solve(ConvexMNT(m=1, n=1, t=1.0))
         assert "boundary root" in str(err.value)
+
+    @pytest.mark.parametrize("m,n,t", [(1, 1, 0.5), (2, 2, 0.3), (3, 2, 0.8)])
+    @pytest.mark.parametrize("a", [0.3, 0.9])
+    def test_functional_on_the_extremal_function(self, m, n, t, a):
+        # f_a(z) = (a - s)/(1 - a s) with s = z_1 + ... + z_n: at the branch
+        # diagonal omega(z) has s = -n r^m, and f_a's majorant at r is
+        # a + (1 - a^2) n r/(1 - a n r)
+        family = ConvexMNT(m=m, n=n, t=t)
+        r = solve(family).radius_r
+        exact = (t * (a + n * r ** m) / (1 + a * n * r ** m)
+                 + (1 - t) * (a + (1 - a * a) * n * r / (1 - a * n * r)))
+        rep = family.functional(extremal_series(ExtremalSpec(a, n), 60), r)
+        assert rep.value <= exact * (1 + 1e-12)
+        assert exact <= (rep.value + rep.tail_bound) * (1 + 1e-12)
 
     def test_interior_parameter(self):
         res = solve(ConvexMNT(m=2, n=2, t=0.5))

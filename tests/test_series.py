@@ -22,7 +22,7 @@ from polybohr import (
     majorant_block_sums,
     majorant_sum,
 )
-from polybohr.series import _weighted_geometric_sum, colex_multinomials
+from polybohr.series import _EXPLICIT_TAIL_TERMS, _weighted_geometric_sum, colex_multinomials
 
 
 def brute_force_indices(n, k):
@@ -307,6 +307,19 @@ class TestTailMachinery:
         got = _weighted_geometric_sum(1.0, x, 1, start)
         assert got >= exact * (1 - 1e-12)
         assert got <= exact * 1.5
+
+    @pytest.mark.parametrize("x,slack", [(0.996, 100.0), (0.998, 1e13)])
+    def test_weight_one_past_the_explicit_run(self, x, slack):
+        # the term ratio (k+1)/k x is still >= 1 after the explicit run, so
+        # the run is extended until it falls below 1; the remainder bound
+        # first/(1 - ratio) then overshoots the exact sum by 92x at 0.996,
+        # and by 6.6e12x at 0.998, where the run stops at k = 499 with
+        # 500/499 * 0.998 = 1 up to rounding
+        k = 1 + _EXPLICIT_TAIL_TERMS
+        assert (k + 1) / k * x >= 1.0
+        exact = x / (1 - x) ** 2
+        got = _weighted_geometric_sum(1.0, x, 1, 1)
+        assert exact * (1 - 1e-12) <= got <= exact * slack
 
     def test_stepped_sum(self):
         # multiples of 3 starting at 6: x^6/(1 - x^3)
