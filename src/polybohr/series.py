@@ -11,9 +11,9 @@ discarded degree block satisfies
 
     sum_{|alpha|=k} |a_alpha|  <=  C * k^weight * q^k      for all k > K,
 
-which turns truncated majorant, radial-derivative and area sums into values
-with rigorous remainder bounds.  All radii are equal polyradii: a single
-scalar r with z ranging over the polycircle max_i |z_i| = r.
+which bounds truncated majorant, radial-derivative and area sums by closed
+forms of degree-weighted geometric series.  All radii are equal polyradii: a
+single scalar r with z ranging over the polycircle max_i |z_i| = r.
 
 Every sum over a series runs by ascending degree, and over a dict's terms in
 insertion order within each degree.  The package's dicts are built from
@@ -44,10 +44,6 @@ MULTINOMIAL_DEGREE_CAP = 60
 
 # Hard cap on the number of multi-indices any one call may materialise.
 ENUMERATION_CAP = 10_000_000
-
-# Number of explicitly summed terms before the ratio-bounded remainder takes
-# over in degree-weighted tail sums.
-_EXPLICIT_TAIL_TERMS = 200
 
 
 class CapacityError(ValueError):
@@ -100,13 +96,14 @@ class TailBound:
 
 def _weighted_geometric_sum(c: float, x: float, weight: int, start: int,
                             step: int = 1) -> float:
-    """Upper bound for sum over k in {start, start+step, ...} of c * k^w * x^k.
+    """Sum over k in {start, start+step, ...} of c * k^w * x^k in closed form,
+    rounded up past its rounding error.
 
-    For weight 0 the geometric series is summed in closed form.  For positive
-    weights the first terms are summed explicitly and the remainder is bounded
-    by a geometric series in the (eventually decreasing) term ratio; this
-    explicit summation is the normative tail treatment for degree-weighted
-    blocks.
+    With y = x^step and k = start + j step the sum is c x^start sum_{i<=w}
+    C(w,i) start^(w-i) step^i M_i(y), where M_i(y) = sum_j j^i y^j is
+    1/(1-y) for i = 0 and y A_i(y)/(1-y)^(i+1) otherwise, A_i the Eulerian
+    polynomial.  Every term is positive and 1 - y = -expm1(step log x) has no
+    cancellation, so a round-up by 4(w+2) units of 2^-52 covers the rounding.
     """
     if c == 0.0 or x == 0.0:
         return 0.0
@@ -114,25 +111,23 @@ def _weighted_geometric_sum(c: float, x: float, weight: int, start: int,
         raise DivergentTailError(f"tail ratio {x} >= 1 at the requested radius")
     if start < 1:
         raise ValueError(f"tail start degree must be >= 1, got {start}")
-    if weight == 0:
-        return c * x ** start / (1.0 - x ** step)
-    total = 0.0
-    k = start
-    for _ in range(_EXPLICIT_TAIL_TERMS):
-        total += c * k ** weight * x ** k
-        k += step
-    # Beyond k the term ratio is at most ((k+step)/k)^w * x^step < 1 once the
-    # explicit run is long enough; otherwise extend the run until it is.
-    ratio = ((k + step) / k) ** weight * x ** step
-    while ratio >= 1.0:
-        total += c * k ** weight * x ** k
-        k += step
-        ratio = ((k + step) / k) ** weight * x ** step
-        if k > start + 100_000 * step:
-            raise DivergentTailError(
-                f"degree-weighted tail does not contract at ratio {x}")
-    first = c * k ** weight * x ** k
-    return total + first / (1.0 - ratio)
+    y, inv = x ** step, -1.0 / math.expm1(step * math.log(x))
+    try:
+        eulerian, total = [1], start ** weight * inv
+        for i in range(1, weight + 1):
+            # A(i, m) = (m+1) A(i-1, m) + (i-m) A(i-1, m-1)
+            eulerian = [(m + 1) * b + (i - m) * a for m, (a, b)
+                        in enumerate(zip([0] + eulerian, eulerian + [0]))]
+            total += (math.comb(weight, i) * start ** (weight - i) * step ** i
+                      * y * sum(a * y ** m for m, a in enumerate(eulerian))
+                      * inv ** (i + 1))
+        total *= c * x ** start * (1.0 + 4 * (weight + 2) * 2.0 ** -52)
+    except OverflowError:
+        total = math.inf
+    if not total < math.inf:
+        raise OverflowError(f"weight-{weight} tail from degree {start} at ratio "
+                            f"{x} exceeds the float range")
+    return total
 
 
 class TruncatedSeries:
@@ -253,8 +248,8 @@ def majorant_sum(f: TruncatedSeries, r: float) -> EvalReport:
 def euler_derivative(f: TruncatedSeries) -> TruncatedSeries:
     """The radial derivative sum_k z_k d/dz_k: multiplies the degree-k part
     and block by k and the squared block by k^2.  The tail weight of the
-    result is raised by one; its mass is later bounded by explicit summation
-    rather than a loosened geometric constant."""
+    result is raised by one, so its tail is the closed-form sum of
+    C k^(w+1) (q r)^k rather than a loosened geometric constant."""
     tail = None if f.tail is None else TailBound(f.tail.C, f.tail.q, f.tail.weight + 1)
     return TruncatedSeries(
         f.dim, f.max_degree,
@@ -268,8 +263,8 @@ def area_sum(f: TruncatedSeries, r: float) -> EvalReport:
     """Normalised image-area sum: sum_k k (sum_{|alpha|=k} |a_alpha|^2) r^{2k}.
 
     The remainder uses blockwise l2 <= l1 domination: the squared block at
-    degree k is at most (C k^w q^k)^2, so the discarded mass is bounded by a
-    degree-weighted geometric sum in (q r)^2.
+    degree k is at most (C k^w q^k)^2, so the discarded mass is at most the
+    closed-form sum of C^2 k^(2w+1) (q r)^(2k) over k > K.
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")

@@ -221,20 +221,19 @@ _AUDIT_EPS = 1e-12
 
 def audit_lemmas(samples: int, dims: Iterable[int], radii: Iterable[float],
                  seed: int = 0, points_per_radius: int = 3) -> AuditStats:
-    """Audit four coefficient/growth bounds on seeded product functions with
+    """Audit three coefficient/growth bounds on seeded product functions with
     two factors per coordinate.
 
     Per function: every coefficient satisfies |a_alpha| <= 1 - |a_0|^2.
     Per (function, point): the Schwarz-Pick growth bound
-    (|f(0)| + r)/(1 + |f(0)| r), the vanishing-order bound |z^beta h(z)| <=
-    r^{|beta|}, and the radial-derivative bound
+    (|f(0)| + r)/(1 + |f(0)| r) and the radial-derivative bound
     |Df(z)| <= n r (1 - |f(z)|^2)/(1 - (n r)^2) for n r <= sqrt(2) - 1.
     All evaluations are exact closed forms, so the slack is roundoff only.
     """
     rng = Lcg64(seed ^ 0x51AF9C3D)
     violations = 0
     pairs = 0
-    checks = {"growth": 0, "coefficient": 0, "vanishing": 0, "radial": 0}
+    checks = {"growth": 0, "coefficient": 0, "radial": 0}
     worst = math.inf
 
     def check(kind: str, bound: float, value: complex) -> None:
@@ -255,8 +254,6 @@ def audit_lemmas(samples: int, dims: Iterable[int], radii: Iterable[float],
             for alpha, c in series.coeffs.items():
                 if sum(alpha) > 0:
                     check("coefficient", cap, c)
-            vanish_order = rng.randint(1, 3)
-            vanish_coord = rng.randint(0, n - 1)
             for r in radii:
                 if n * r > math.sqrt(2.0) - 1.0:
                     continue
@@ -265,9 +262,6 @@ def audit_lemmas(samples: int, dims: Iterable[int], radii: Iterable[float],
                     pairs += 1
                     fz = spec.eval(z)
                     check("growth", (a0 + r) / (1.0 + a0 * r), fz)
-                    # Monomial prefactor z_i^beta makes the vanishing order beta.
-                    check("vanishing", r ** vanish_order,
-                          z[vanish_coord] ** vanish_order * fz)
                     nr = n * r
                     check("radial", nr * (1.0 - abs(fz) ** 2) / (1.0 - nr * nr),
                           spec.euler_eval(z))

@@ -3,6 +3,7 @@ sums, and the radial derivative, checked against brute-force oracles."""
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from polybohr import (
     majorant_block_sums,
     majorant_sum,
 )
-from polybohr.series import _EXPLICIT_TAIL_TERMS, _weighted_geometric_sum, colex_multinomials
+from polybohr.series import _weighted_geometric_sum, colex_multinomials
 
 
 def brute_force_indices(n, k):
@@ -267,6 +268,18 @@ class TestEulerDerivative:
         expected = n * r * (1 - a * a) / (1 + a * n * r) ** 2
         assert got == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("a,n,r,K", [(0.999, 1, 0.998, 16), (0.99, 1, 0.995, 16),
+                                         (0.5, 2, 0.3, 10), (0.9, 3, 0.25, 20)])
+    def test_witness_tail_is_exact(self, a, n, r, K):
+        # block k of D f_a is k (1-a^2) a^(k-1) n^k, so its tail bound holds
+        # with equality and sum_{k>K} k (1-a^2) a^(k-1) (n r)^k is
+        # (1-a^2)/a x^s (s - (s-1) x)/(1-x)^2 with x = a n r and s = K + 1
+        df = euler_derivative(extremal_series(ExtremalSpec(a, n), K))
+        A, s = Fraction(a), K + 1
+        x = A * n * Fraction(r)
+        exact = (1 - A * A) / A * x ** s * (s - (s - 1) * x) / (1 - x) ** 2
+        assert df.tail_sum(r) == pytest.approx(float(exact), rel=1e-13)
+
 
 class TestAreaSum:
     def test_scaled_coordinate(self):
@@ -294,6 +307,19 @@ class TestAreaSum:
         assert rep.value + rep.tail_bound <= bound
 
 
+def exact_weighted_sum(x, weight, start, step):
+    """sum_{j>=0} p(j) y^j for p(j) = (start + j step)^weight and y = x^step,
+    in exact arithmetic: sum_d (Delta^d p)(0) y^d / (1 - y)^(d+1)."""
+    X = Fraction(x)
+    y = X ** step
+    diffs = [(start + j * step) ** weight for j in range(weight + 1)]
+    total = Fraction(0)
+    for d in range(weight + 1):
+        total += diffs[0] * y ** d / (1 - y) ** (d + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return X ** start * total
+
+
 class TestTailMachinery:
     def test_geometric_closed_form(self):
         # weight 0: c x^s / (1 - x)
@@ -306,20 +332,35 @@ class TestTailMachinery:
         exact = x ** start * (start - (start - 1) * x) / (1 - x) ** 2
         got = _weighted_geometric_sum(1.0, x, 1, start)
         assert got >= exact * (1 - 1e-12)
-        assert got <= exact * 1.5
+        assert got <= exact * (1 + 1e-13)
 
-    @pytest.mark.parametrize("x,slack", [(0.996, 100.0), (0.998, 1e13)])
-    def test_weight_one_past_the_explicit_run(self, x, slack):
-        # the term ratio (k+1)/k x is still >= 1 after the explicit run, so
-        # the run is extended until it falls below 1; the remainder bound
-        # first/(1 - ratio) then overshoots the exact sum by 92x at 0.996,
-        # and by 6.6e12x at 0.998, where the run stops at k = 499 with
-        # 500/499 * 0.998 = 1 up to rounding
-        k = 1 + _EXPLICIT_TAIL_TERMS
-        assert (k + 1) / k * x >= 1.0
-        exact = x / (1 - x) ** 2
-        got = _weighted_geometric_sum(1.0, x, 1, 1)
-        assert exact * (1 - 1e-12) <= got <= exact * slack
+    @pytest.mark.parametrize("weight", range(5))
+    def test_tight_upper_bound_on_grid(self, weight):
+        # never below the exact sum, and above it by rounding only, also
+        # where x^step is within rounding of 1
+        for step in (1, 2, 3):
+            for start in (1, 2, 5, 17, 33, 129):
+                for x in (0.01, 0.3, 0.7, 0.9, 0.98, 0.99, 0.995, 0.998):
+                    exact = exact_weighted_sum(x, weight, start, step)
+                    got = Fraction(_weighted_geometric_sum(1.0, x, weight, start, step))
+                    assert exact <= got <= exact * (1 + Fraction(1, 10 ** 13)), (
+                        weight, step, start, x)
+
+    @pytest.mark.parametrize("x,weight,start,step",
+                             [(0.3, 4, 2, 1), (0.7, 2, 5, 3), (0.9, 3, 17, 2), (0.98, 1, 1, 1)])
+    def test_exact_reference_matches_brute_force(self, x, weight, start, step):
+        terms = [(start + j * step) ** weight * x ** (start + j * step) for j in range(20_000)]
+        assert float(exact_weighted_sum(x, weight, start, step)) == pytest.approx(
+            math.fsum(terms), rel=1e-12)
+
+    def test_sum_past_the_float_range(self):
+        # (1 - x)^31 = 2^-1612 is below the float range, and the sum, about
+        # 30! / (1 - x)^31, above it
+        with pytest.raises(OverflowError, match="weight-30 tail from degree 1"):
+            _weighted_geometric_sum(1.0, 1 - 2 ** -52, 30, 1)
+        # every factor is finite, the product is not
+        with pytest.raises(OverflowError, match="weight-2 tail from degree 1 at ratio 0.999"):
+            _weighted_geometric_sum(1e300, 0.999, 2, 1)
 
     def test_stepped_sum(self):
         # multiples of 3 starting at 6: x^6/(1 - x^3)
