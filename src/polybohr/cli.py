@@ -177,7 +177,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
         for i in range(1, steps + 1):
             t = i / steps
             res = solve(AreaT(n=args.n, t=t))
-            branch = "cubic" if t < 9.0 / 17.0 else "clamped"
+            branch = "cubic" if t < AreaT.branch_t else "clamped"
             rows.append([t, res.radius_r, res.radius_x, branch])
         return columns, rows
     # thm2.3-grid, the last of TABLE_READS, which --name is restricted to
@@ -347,12 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(cmd, help="run verification suites"
                             + (" (sharpness only)" if sharp else ""))
         _family_flags(p)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--factors", type=int, default=3)
-        p.add_argument("--k-cap", dest="k_cap", type=int, default=512)
-        p.add_argument("--margin-below", dest="margin_below", type=float, default=0.99)
-        p.add_argument("--margin-above", dest="margin_above", type=float, default=0.02)
+        p.add_argument("--samples", type=int, default=SuiteConfig.samples)
+        p.add_argument("--seed", type=int, default=SuiteConfig.seed)
+        p.add_argument("--factors", type=int, default=SuiteConfig.factors_per_coordinate)
+        p.add_argument("--k-cap", dest="k_cap", type=int, default=SuiteConfig.k_cap)
+        p.add_argument("--margin-below", dest="margin_below", type=float,
+                       default=SuiteConfig.margin_below)
+        p.add_argument("--margin-above", dest="margin_above", type=float,
+                       default=SuiteConfig.margin_above)
         if not sharp:
             p.add_argument("--sharpness", dest="sharpness_only", action="store_true",
                            help="run only the sharpness-above suite")

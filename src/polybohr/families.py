@@ -99,17 +99,18 @@ def extremal_closed_eval(spec: ExtremalSpec, z: Point) -> complex:
 def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
     """Expansion a - (1-a^2) sum_{k>=1} a^{k-1} (z_1+...+z_n)^k up to degree K.
 
-    The coefficient at alpha with |alpha| = k >= 1 is
-    -(1-a^2) a^{k-1} (k!/alpha!).  For a > 0 no coefficient dict is built:
-    a degree-k multi-index is a head of degree k - last in the first n - 1
-    coordinates, from a table made once per call, followed by ``last``, with
-    multinomial C(k, last) M(head); ascending ``last`` visits colex order.
-    The build sums the blocks, which equal (1-a^2) a^{k-1} n^k, certified
-    exactly by TailBound(C=(1-a^2)/a, q=a n), and the squared blocks; the
-    parts multiply each term out at the point; and the dict is built from
-    :func:`colex_multinomials` on first access only.
-    All three are bit for bit those of the dict.  For a = 0 the series
-    terminates at degree 1 and carries no tail.
+    The coefficient at alpha with |alpha| = k >= 1 is c_k (k!/alpha!), with
+    c_k = -(1-a^2) a^{k-1}.  For a > 0 the block and squared block of degree
+    k are closed forms: |c_k| n^k, certified exactly by
+    TailBound(C=(1-a^2)/a, q=a n), and c_k^2 S_n(k) with the exact integers
+    S_n(k) = sum_{|alpha|=k} (k!/alpha!)^2 = sum_j C(k,j)^2 S_{n-1}(k-j),
+    S_1 = 1.  The parts walk the multi-indices: a degree-k one is a head of
+    degree k - last in the first n - 1 coordinates, from a table made once
+    per call, then ``last``, with multinomial C(k, last) M(head), ascending
+    ``last`` visiting colex order.  The parts, and the dict built from
+    :func:`colex_multinomials` on first access only, are bit for bit those
+    of the definition.  For a = 0 the series terminates at degree 1 and
+    carries no tail.
     """
     if K < 0:
         raise ValueError(f"max degree must be >= 0, got {K}")
@@ -130,20 +131,15 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
     # walk[k] lists (C(k, last), k - last, last) by ascending last
     walk = [[(math.comb(k, last), k - last, last)
              for last in (range(k + 1) if n > 1 else (k,))] for k in range(K + 1)]
-    # the constant a, then ak[k] = -(1-a^2) a^{k-1}, the factor of every
-    # degree-k multinomial
+    # the constant a, then ak[k] = c_k = -(1-a^2) a^{k-1}, the factor of
+    # every degree-k multinomial
     scale = -(1.0 - a * a)
     ak = [complex(a)] + [scale * a ** (k - 1) for k in range(1, K + 1)]
-    blocks, squared = [abs(ak[0])] + [0.0] * K, [abs(ak[0]) ** 2] + [0.0] * K
-    for k in range(1, K + 1):
-        b = s = 0.0
-        c = -ak[k]  # ak[k] <= 0, so |ak[k] * M| = -ak[k] * M exactly
-        for binom, j, _ in walk[k]:
-            for _, m in heads[j]:
-                x = c * (binom * m)
-                b += x
-                s += x ** 2
-        blocks[k], squared[k] = b, s
+    S = [1] * (K + 1)
+    for _ in range(n - 1):
+        S = [sum(math.comb(k, j) ** 2 * S[k - j] for j in range(k + 1)) for k in range(K + 1)]
+    blocks = [abs(c) * n ** k for k, c in enumerate(ak)]
+    squared = [abs(c) ** 2 * s for c, s in zip(ak, S)]
 
     def parts(z: Point) -> list[complex]:
         *powers, last_powers = [[zi ** e for e in range(K + 1)] for zi in z]

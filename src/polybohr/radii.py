@@ -106,8 +106,6 @@ def min_positive_root(g: Callable[[float], float],
     return root, lo, hi_b, note
 
 
-SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
-
 # Every radius family by its ``--family`` name, in definition order; a
 # subclass of RadiusFamily registers itself here.
 FAMILIES: dict[str, type[RadiusFamily]] = {}
@@ -134,6 +132,7 @@ class RadiusFamily:
     (0, ``bracket_hi``]: the unique one, or the minimum positive one when
     ``min_root`` is set, unless ``closed_form`` gives the result directly.
     ``functional`` evaluates the family's functional at its designated point.
+    The fields named ``m``, ``n`` and ``N`` must be at least 1.
     """
 
     name: ClassVar[str]
@@ -144,6 +143,13 @@ class RadiusFamily:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         FAMILIES[cls.name] = cls
+
+    def __post_init__(self) -> None:
+        for k in self.__match_args__:
+            if k in ("m", "n", "N") and getattr(self, k) < 1:
+                names = [k for k in self.__match_args__ if k in ("m", "n", "N")]
+                got = ", ".join(f"{k}={getattr(self, k)}" for k in names)
+                raise ValueError(f"{', '.join(names)} must be >= 1, got {got}")
 
     @property
     def dim(self) -> int:
@@ -175,10 +181,6 @@ class Classical(RadiusFamily):
     n: int
     name = "classical"
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-
     def poly(self, x: float) -> float:
         return 3.0 * x - 1.0
 
@@ -201,8 +203,7 @@ class RogosinskiUni(RadiusFamily):
     solve_var = "r"
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        super().__post_init__()
         if self.p not in (1, 2):
             raise ValueError(f"modulus power must be 1 or 2, got {self.p}")
 
@@ -224,11 +225,6 @@ class RmN(RadiusFamily):
     n: ClassVar[int] = 1
     name = "rmn"
     solve_var = "r"
-
-    def __post_init__(self) -> None:
-        if min(getattr(self, k) for k in self.__match_args__) < 1:
-            got = ", ".join(f"{k}={getattr(self, k)}" for k in self.__match_args__)
-            raise ValueError(f"{', '.join(self.__match_args__)} must be >= 1, got {got}")
 
     @property
     def bracket_hi(self) -> float:
@@ -261,10 +257,6 @@ class AN(RadiusFamily):
     n: int
     N: int
     name = "an"
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.N < 1:
-            raise ValueError(f"n, N must be >= 1, got n={self.n}, N={self.N}")
 
     def poly(self, x: float) -> float:
         return 2.0 * x ** self.N + x - 1.0
@@ -320,8 +312,7 @@ class ConvexMNT(RadiusFamily):
     min_root = True
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"m, n must be >= 1, got m={self.m}, n={self.n}")
+        super().__post_init__()
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"t must lie in [0,1], got {self.t}")
 
@@ -344,11 +335,10 @@ class EulerLambda(RadiusFamily):
     n: int
     lam: float
     name = "euler"
-    bracket_hi = SQRT2_MINUS_1
+    bracket_hi = math.sqrt(2.0) - 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        super().__post_init__()
         if not self.lam > 0.0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if math.isinf(self.lam):
@@ -368,16 +358,16 @@ class EulerLambda(RadiusFamily):
 @record
 class AreaT(RadiusFamily):
     """Majorant plus image-area combination; cubic in x = n r for
-    t < 9/17, constant 1/3 beyond."""
+    t < branch_t = 9/17, constant 1/3 beyond."""
 
     n: int
     t: float
     name = "area"
     bracket_hi = 1.0 / 3.0
+    branch_t = 9.0 / 17.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        super().__post_init__()
         if not 0.0 < self.t <= 1.0:
             raise ValueError(f"t must lie in (0,1], got {self.t}")
 
@@ -386,7 +376,7 @@ class AreaT(RadiusFamily):
         return ((t * x + t) * x + (4.0 - 5.0 * t)) * x - t
 
     def closed_form(self) -> RadiusResult | None:
-        if self.t < 9.0 / 17.0:
+        if self.t < self.branch_t:
             return None
         # Clamped branch: the radius is 1/3 by definition, not a root of the
         # cubic (which is nonnegative on (0, 1/3] here).

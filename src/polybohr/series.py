@@ -167,6 +167,8 @@ class TruncatedSeries:
         The sum ranges over degrees beyond the truncation that are >= start
         and lie in {step, 2*step, 3*step, ...}.
         """
+        if r < 0:
+            raise ValueError(f"radius must be >= 0, got {r}")
         if self.tail is None:
             return 0.0
         first = max(self.max_degree + 1, start)
@@ -240,8 +242,6 @@ def block_sum(f: TruncatedSeries, r: float, start: int = 0,
 def majorant_sum(f: TruncatedSeries, r: float) -> EvalReport:
     """Majorant value sum_k block_k r^k with a certified remainder, reported
     against 1."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
     return EvalReport.build(*block_sum(f, r), detail="majorant")
 
 

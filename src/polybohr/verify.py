@@ -9,9 +9,9 @@ Three suite kinds are provided:
 * coefficient/derivative bound audits on seeded (function, point) pairs.
 
 Both suites run each case through one escalation loop: the truncation degree
-K starts at min(k_start, cap) and doubles up to the cap (k_cap for hold-below,
-min(k_cap, EXTREMAL_K_CAP) for sharpness-above) while the verdict is
-INCONCLUSIVE and the certified tail is at least TAIL_TOL.
+K starts at min(k_start, cap) and doubles up to the cap (k_cap for
+hold-below, min(k_cap, MULTINOMIAL_DEGREE_CAP) for sharpness-above) while the
+verdict is INCONCLUSIVE and the certified tail is at least TAIL_TOL.
 
 Each family's ``functional`` (in radii) evaluates at its designated point:
 the diagonal (r, ..., r) for the plain majorant and area functionals,
@@ -26,13 +26,9 @@ import math
 from typing import Callable, ClassVar, Iterable
 
 from .families import ExtremalSpec, Lcg64, extremal_series, sample_product_spec
-from .radii import RadiusFamily, solve
+from .radii import EulerLambda, RadiusFamily, solve
 from .report import EvalReport, Verdict, record
 from .series import MULTINOMIAL_DEGREE_CAP, Point, euler_derivative, eval_series
-
-# Extremal-family truncations stop at the exact-multinomial degree cap; the
-# certified tails are far below every tolerance used here well before it.
-EXTREMAL_K_CAP = MULTINOMIAL_DEGREE_CAP
 
 # Escalation stops once the certified tail is below this: a verdict still
 # INCONCLUSIVE then sits on 1 within roundoff, where more degrees cannot help.
@@ -176,7 +172,7 @@ def check_sharpness_above(config: SuiteConfig) -> SuiteReport:
             f"= {r} is not inside the unit polydisc")
     cases: list[CaseResult] = []
     witness: float | None = None
-    cap = min(config.k_cap, EXTREMAL_K_CAP)
+    cap = min(config.k_cap, MULTINOMIAL_DEGREE_CAP)
     for i, a in enumerate(config.a_schedule):
         spec = ExtremalSpec(a=a, n=config.family.dim)
         rep, K = _escalate(lambda K: config.family.functional(
@@ -255,7 +251,7 @@ def audit_lemmas(samples: int, dims: Iterable[int], radii: Iterable[float],
                 if sum(alpha) > 0:
                     check("coefficient", cap, c)
             for r in radii:
-                if n * r > math.sqrt(2.0) - 1.0:
+                if n * r > EulerLambda.bracket_hi:
                     continue
                 for _ in range(points_per_radius):
                     z = _random_point(rng, n, r)
@@ -285,7 +281,7 @@ def euler_closed_form_check(a_values: Iterable[float], n_values: Iterable[int],
                             rel_tol: float = 1e-9) -> list[ClosedFormCheck]:
     """Series-computed |Df_a| at the diagonal (-r, ..., -r) against the exact
     value n r (1 - a^2) / (1 + a n r)^2, doubling K from 16 until the
-    relative error target is met or K reaches EXTREMAL_K_CAP."""
+    relative error target is met or K reaches MULTINOMIAL_DEGREE_CAP."""
     out: list[ClosedFormCheck] = []
     for a in a_values:
         for n in n_values:
@@ -297,8 +293,8 @@ def euler_closed_form_check(a_values: Iterable[float], n_values: Iterable[int],
                     df = euler_derivative(extremal_series(ExtremalSpec(a, n), K))
                     got = abs(eval_series(df, z))
                     rel = abs(got - closed) / abs(closed) if closed else abs(got)
-                    if rel <= rel_tol or K >= EXTREMAL_K_CAP:
+                    if rel <= rel_tol or K >= MULTINOMIAL_DEGREE_CAP:
                         break
-                    K = min(2 * K, EXTREMAL_K_CAP)
+                    K = min(2 * K, MULTINOMIAL_DEGREE_CAP)
                 out.append(ClosedFormCheck(a, n, r, got, closed, rel, K))
     return out

@@ -1,11 +1,12 @@
 """Graded series data (degree blocks, squared blocks and degree-k parts)
 against brute-force sums over the multi-index dict, the extremal build
-against its definition bit for bit, and the independence of the hold-below
+against its definition, and the independence of the hold-below
 and sharpness hot paths from that dict."""
 
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -106,30 +107,34 @@ def bits(v):
 
 
 class TestExtremalBitIdentity:
-    """The streamed extremal build gives, bit for bit, the series of its
-    definition: keys in colex order, that is sorted by the reversed tuple
-    from an independent enumeration, values ak * k!/alpha! from
-    factorials, blocks summed in insertion order and parts multiplied term
-    by term."""
+    """The streamed extremal build gives the series of its definition: keys
+    in colex order, that is sorted by the reversed tuple from an independent
+    enumeration, values ak * k!/alpha! from factorials and parts multiplied
+    term by term, all bit for bit; blocks and squared blocks within REL of
+    the exact closed forms (1-a^2) a^{k-1} n^k and ((1-a^2) a^{k-1})^2 S_n(k)
+    of the float a, with S_n(k) = sum (k!/alpha!)^2 over that enumeration."""
 
     @pytest.mark.parametrize("n,K", [(2, 48), (3, 28), (4, 24), (3, 16), (1, 60)])
     @pytest.mark.parametrize("a", [0.37, 0.999])
     def test_matches_definition(self, n, K, a):
         f = extremal_series(ExtremalSpec(a, n), K)
         want = {(0,) * n: complex(a)}
+        exact_a = Fraction(a)
+        blocks, squared = [exact_a], [exact_a ** 2]
         for k in range(1, K + 1):
             ak = -(1.0 - a * a) * a ** (k - 1)
+            ck = (1 - exact_a ** 2) * exact_a ** (k - 1)
+            s = 0
             for alpha in sorted(brute_force_indices(n, k), key=lambda idx: idx[::-1]):
                 multinomial = math.factorial(k) // math.prod(map(math.factorial, alpha))
                 want[alpha] = ak * multinomial
+                s += multinomial ** 2
+            blocks.append(ck * n ** k)
+            squared.append(ck ** 2 * s)
         assert list(f.coeffs) == list(want)
         assert [bits(c) for c in f.coeffs.values()] == [bits(c) for c in want.values()]
-        blocks, squared = [0.0] * (K + 1), [0.0] * (K + 1)
-        for alpha, c in want.items():
-            blocks[sum(alpha)] += abs(c)
-            squared[sum(alpha)] += abs(c) ** 2
-        assert [bits(b) for b in f.blocks] == [bits(b) for b in blocks]
-        assert [bits(b) for b in f.squared] == [bits(b) for b in squared]
+        for got, exact in [*zip(f.blocks, blocks), *zip(f.squared, squared)]:
+            assert abs(Fraction(got) / exact - 1) <= REL, (got, float(exact))
         for z in (seeded_point(n + K, n, 0.9 / n), tuple(0.1 * (i + 1) for i in range(n))):
             parts = [0j] * (K + 1)
             for alpha, term in want.items():

@@ -26,6 +26,7 @@ from polybohr import (
     sample_product_spec,
     solve,
 )
+from polybohr.radii import FAMILIES
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 
@@ -358,3 +359,31 @@ class TestResidualGate:
         lo, hi = res.bracket
         assert lo < (res.radius_r if isinstance(
             family, (RogosinskiUni, RmN, RmnN)) else res.radius_x) <= hi
+
+
+# Valid fields of every family, by its --family name
+VALID_FIELDS = {
+    "classical": dict(n=2), "rogosinski": dict(N=2, p=1), "rmn": dict(m=2, N=3),
+    "rmnn": dict(m=2, n=2, N=2), "an": dict(n=2, N=3), "convext": dict(t=0.5),
+    "convexmnt": dict(m=2, n=1, t=0.5), "euler": dict(n=2, lam=0.5), "area": dict(n=1, t=0.4),
+}
+INTEGER_FIELDS = [(name, k) for name, cls in FAMILIES.items()
+                  for k in cls.__match_args__ if k in ("m", "n", "N")]
+
+
+class TestIntegerRule:
+    def test_every_family_has_valid_fields(self):
+        assert set(VALID_FIELDS) == set(FAMILIES)
+        for name, cls in FAMILIES.items():
+            cls(**VALID_FIELDS[name])
+
+    @pytest.mark.parametrize("name,field", INTEGER_FIELDS,
+                             ids=[f"{name}-{field}" for name, field in INTEGER_FIELDS])
+    def test_zero_is_rejected_with_the_one_message(self, name, field):
+        # one rule in RadiusFamily names every m, n and N the family has, in
+        # field order, as the pinned rmn and rmnn usage records print it
+        fields = VALID_FIELDS[name] | {field: 0}
+        names = [k for k in FAMILIES[name].__match_args__ if k in ("m", "n", "N")]
+        got = ", ".join(f"{k}={fields[k]}" for k in names)
+        with pytest.raises(ValueError, match=f"^{', '.join(names)} must be >= 1, got {got}$"):
+            FAMILIES[name](**fields)

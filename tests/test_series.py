@@ -23,7 +23,7 @@ from polybohr import (
     majorant_block_sums,
     majorant_sum,
 )
-from polybohr.series import _weighted_geometric_sum, colex_multinomials
+from polybohr.series import _weighted_geometric_sum, block_sum, colex_multinomials
 
 
 def brute_force_indices(n, k):
@@ -242,6 +242,16 @@ class TestMajorantSum:
         f = extremal_series(ExtremalSpec(0.9, 1), 10)
         with pytest.raises(DivergentTailError):
             majorant_sum(f, 1.2)  # q r = 0.9 * 1.2 > 1
+
+    @pytest.mark.parametrize("call", [TruncatedSeries.tail_sum, block_sum, majorant_sum],
+                             ids=lambda call: call.__name__)
+    @pytest.mark.parametrize("tail", [TailBound(C=0.5, q=0.5), None], ids=["tail", "no-tail"])
+    def test_negative_radius(self, call, tail):
+        # every majorant and tail path checks the radius once, in tail_sum
+        f = TruncatedSeries(dim=1, max_degree=2, coeffs={(0,): 0.5 + 0j, (2,): 0.25 + 0j},
+                            tail=tail)
+        with pytest.raises(ValueError, match=r"^radius must be >= 0, got -0\.3$"):
+            call(f, -0.3)
 
 
 class TestEulerDerivative:
