@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from functools import partial
+from functools import lru_cache, partial
 from itertools import compress
 
 from .report import record
@@ -105,12 +105,11 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
     TailBound(C=(1-a^2)/a, q=a n), and c_k^2 S_n(k) with the exact integers
     S_n(k) = sum_{|alpha|=k} (k!/alpha!)^2 = sum_j C(k,j)^2 S_{n-1}(k-j),
     S_1 = 1.  The parts walk the multi-indices: a degree-k one is a head of
-    degree k - last in the first n - 1 coordinates, from a table made once
-    per call, then ``last``, with multinomial C(k, last) M(head), ascending
-    ``last`` visiting colex order.  The parts, and the dict built from
-    :func:`colex_multinomials` on first access only, are bit for bit those
-    of the definition.  For a = 0 the series terminates at degree 1 and
-    carries no tail.
+    degree k - last in the first n - 1 coordinates, then ``last``, with
+    multinomial C(k, last) M(head), ascending ``last`` visiting colex order.
+    The parts, and the dict built from :func:`colex_multinomials` on first
+    access only, are bit for bit those of the definition.  For a = 0 the
+    series terminates at degree 1 and carries no tail.
     """
     if K < 0:
         raise ValueError(f"max degree must be >= 0, got {K}")
@@ -125,19 +124,11 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
         raise CapacityError(
             f"degree {MULTINOMIAL_DEGREE_CAP + 1} exceeds the multinomial "
             f"cap {MULTINOMIAL_DEGREE_CAP}")
-    # heads[j] lists (head, M(head)) of degree j; for n = 1 the one head is ()
-    heads = ([[((), 1)]] if n == 1 else
-             [list(colex_multinomials(n - 1, j)) for j in range(K + 1)])
-    # walk[k] lists (C(k, last), k - last, last) by ascending last
-    walk = [[(math.comb(k, last), k - last, last)
-             for last in (range(k + 1) if n > 1 else (k,))] for k in range(K + 1)]
+    heads, walk, S = _extremal_tables(n, K)
     # the constant a, then ak[k] = c_k = -(1-a^2) a^{k-1}, the factor of
     # every degree-k multinomial
     scale = -(1.0 - a * a)
     ak = [complex(a)] + [scale * a ** (k - 1) for k in range(1, K + 1)]
-    S = [1] * (K + 1)
-    for _ in range(n - 1):
-        S = [sum(math.comb(k, j) ** 2 * S[k - j] for j in range(k + 1)) for k in range(K + 1)]
     blocks = [abs(c) * n ** k for k, c in enumerate(ak)]
     squared = [abs(c) ** 2 * s for c, s in zip(ak, S)]
 
@@ -167,6 +158,21 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
 
     return TruncatedSeries(n, K, coeffs, TailBound((1.0 - a * a) / a, a * n), closed_form,
                            graded=(blocks, squared, parts))
+
+
+@lru_cache(maxsize=8)
+def _extremal_tables(n: int, K: int) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """Heads, walk and S_n of the degree-K extremal series, built once per (n, K)."""
+    # heads[j] lists (head, M(head)) of degree j; for n = 1 the one head is ()
+    heads = ((((), 1),),) if n == 1 else tuple(
+        tuple(colex_multinomials(n - 1, j)) for j in range(K + 1))
+    # walk[k] lists (C(k, last), k - last, last) by ascending last
+    walk = tuple(tuple((math.comb(k, last), k - last, last)
+                       for last in (range(k + 1) if n > 1 else (k,))) for k in range(K + 1))
+    S = [1] * (K + 1)
+    for _ in range(n - 1):
+        S = [sum(math.comb(k, j) ** 2 * S[k - j] for j in range(k + 1)) for k in range(K + 1)]
+    return heads, walk, tuple(S)
 
 
 def _check_series_capacity(n: int, K: int) -> None:
@@ -272,10 +278,10 @@ class ProductFunctionSpec:
         """Truncation to total degree K with a certified geometric tail.
 
         The graded data are degree convolutions of the per-coordinate |c|,
-        |c|^2 and c_j z_i^j vectors.  With q0 = (1 + max|w|)/2 strictly above
-        every pole modulus, the Cauchy bound on the product of factor
-        majorants at s = 1/q0 gives block_k <= C q0^k for every k,
-        C = prod_{ij} M_{w_ij}(1/q0).
+        |c|^2 (on the first read of the squared blocks) and c_j z_i^j
+        vectors.  With q0 = (1 + max|w|)/2 strictly above every pole modulus,
+        the Cauchy bound on the product of factor majorants at s = 1/q0 gives
+        block_k <= C q0^k for every k, C = prod_{ij} M_{w_ij}(1/q0).
         """
         n = self.dim
         _check_series_capacity(n, K)
@@ -308,7 +314,7 @@ class ProductFunctionSpec:
                                          for f in facs), q=q0)
         return TruncatedSeries(n, K, coeffs, tail, self.eval, graded=(
             _convolve_degrees([[abs(c) for c in ci] for ci in per_coord], K),
-            _convolve_degrees([[abs(c) ** 2 for c in ci] for ci in per_coord], K),
+            lambda: _convolve_degrees([[abs(c) ** 2 for c in ci] for ci in per_coord], K),
             parts))
 
 

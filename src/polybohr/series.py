@@ -35,8 +35,9 @@ from .report import EvalReport, record
 MultiIndex = tuple[int, ...]
 Point = tuple[complex, ...]
 CoeffDict = dict[MultiIndex, complex]
-# blocks, squared blocks, and the function z -> [P_0(z), ..., P_K(z)]
-Graded = tuple[list[float], list[float], Callable[[Point], list[complex]]]
+# blocks, squared blocks or their first-read thunk, and z -> [P_0(z), ..., P_K(z)]
+Graded = tuple[list[float], list[float] | Callable[[], list[float]],
+               Callable[[Point], list[complex]]]
 
 # Degree cap for exact multinomial coefficients; far beyond any truncation
 # used by the solvers and suites.
@@ -136,7 +137,8 @@ class TruncatedSeries:
 
     A hand-built dict ``coeffs`` is validated and its graded data derived
     once.  The package's constructors pass ``graded=(blocks, squared, parts)``
-    with their dict, or a function that builds the dict on first access.
+    with their dict, or a function that builds the dict on first access;
+    ``squared`` may likewise be a function, called on the first read.
     ``closed_form``, when present, evaluates the function exactly at a point;
     evaluation-type functionals prefer it over the truncated sum.
     """
@@ -154,12 +156,16 @@ class TruncatedSeries:
             raise CapacityError(f"{max_degree + 1} degree blocks exceed the capacity cap")
         self.dim, self.max_degree, self.tail = dim, max_degree, tail
         self.closed_form, self._coeffs = closed_form, coeffs
-        self.blocks, self.squared, self.parts = graded or _graded_from_dict(
+        self.blocks, self._squared, self.parts = graded or _graded_from_dict(
             dim, max_degree, coeffs)
 
     @cached_property
     def coeffs(self) -> CoeffDict:
         return self._coeffs() if callable(self._coeffs) else self._coeffs
+
+    @cached_property
+    def squared(self) -> list[float]:
+        return self._squared() if callable(self._squared) else self._squared
 
     def tail_sum(self, r: float, start: int = 1, step: int = 1) -> float:
         """Bound for the discarded majorant mass sum_k block_k * r^k.
@@ -167,7 +173,7 @@ class TruncatedSeries:
         The sum ranges over degrees beyond the truncation that are >= start
         and lie in {step, 2*step, 3*step, ...}.
         """
-        if r < 0:
+        if not r >= 0:
             raise ValueError(f"radius must be >= 0, got {r}")
         if self.tail is None:
             return 0.0
@@ -255,7 +261,7 @@ def euler_derivative(f: TruncatedSeries) -> TruncatedSeries:
         f.dim, f.max_degree,
         lambda: {alpha: sum(alpha) * c for alpha, c in f.coeffs.items() if sum(alpha) >= 1},
         tail, graded=([k * b for k, b in enumerate(f.blocks)],
-                      [k * k * b for k, b in enumerate(f.squared)],
+                      lambda: [k * k * b for k, b in enumerate(f.squared)],
                       lambda z: [k * p for k, p in enumerate(f.parts(z))]))
 
 
@@ -266,7 +272,7 @@ def area_sum(f: TruncatedSeries, r: float) -> EvalReport:
     degree k is at most (C k^w q^k)^2, so the discarded mass is at most the
     closed-form sum of C^2 k^(2w+1) (q r)^(2k) over k > K.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     sq = squared_block_sums(f)
     value = 0.0

@@ -35,7 +35,7 @@ from polybohr import (
     schwarz_power_map,
 )
 from polybohr import families, verify
-from polybohr.series import squared_block_sums
+from polybohr.series import colex_multinomials, squared_block_sums
 from test_series import brute_force_indices
 
 REL = 1e-13
@@ -143,6 +143,64 @@ class TestExtremalBitIdentity:
                         term *= zi ** ai
                 parts[sum(alpha)] += term
             assert [bits(p) for p in f.parts(z)] == [bits(p) for p in parts]
+
+
+class TestExtremalTables:
+    """The head, walk and S_n tables are built once per (n, K): a build that
+    reads them from the memo equals a build that makes them afresh."""
+
+    @staticmethod
+    def graded_bits(f, z):
+        return ([b.hex() for b in f.blocks], [b.hex() for b in f.squared],
+                [bits(p) for p in f.parts(z)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a", [0.37, 0.999])
+    def test_memo_hit_matches_a_fresh_build(self, n, a):
+        spec, z = ExtremalSpec(a, n), seeded_point(n, n, 0.9 / n)
+        extremal_series(spec, 12)
+        hit = self.graded_bits(extremal_series(spec, 12), z)
+        families._extremal_tables.cache_clear()
+        assert self.graded_bits(extremal_series(spec, 12), z) == hit
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_tables_are_tuples(self, n):
+        heads, walk, S = families._extremal_tables(n, 6)
+        assert all(type(t) is tuple for t in (heads, walk, S, *heads, *walk))
+
+    def test_second_build_enumerates_no_heads(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return colex_multinomials(*args)
+
+        monkeypatch.setattr(families, "colex_multinomials", counting)
+        families._extremal_tables.cache_clear()
+        extremal_series(ExtremalSpec(0.5, 3), 10)
+        first = len(calls)
+        extremal_series(ExtremalSpec(0.9, 3), 10)
+        assert first > 0 and len(calls) == first
+
+
+class TestLazySquaredBlocks:
+    """A product series convolves its squared blocks on their first read,
+    which functionals A, B and D never make."""
+
+    def test_built_on_first_read(self):
+        spec, K = sample_product_spec(31, 3, 2), 16
+        f = spec.series(K)
+        z = seeded_point(5, 3, 0.3)
+        functional_A(f, 0.3)
+        functional_B(f, schwarz_power_map(3, 2), z, FromDegree(2))
+        functional_D(f, z, 1.5)
+        assert "squared" not in vars(f)
+        eager = families._convolve_degrees(
+            [[abs(c) ** 2 for c in spec.coordinate_coefficients(i, K)] for i in range(3)], K)
+        assert [b.hex() for b in f.squared] == [b.hex() for b in eager]
+        df = euler_derivative(f)
+        assert "squared" not in vars(df)
+        assert [b.hex() for b in df.squared] == [(k * k * b).hex() for k, b in enumerate(eager)]
 
 
 class TestHoldBelowNeedsNoDict:

@@ -253,6 +253,15 @@ class TestMajorantSum:
         with pytest.raises(ValueError, match=r"^radius must be >= 0, got -0\.3$"):
             call(f, -0.3)
 
+    @pytest.mark.parametrize("call", [TruncatedSeries.tail_sum, block_sum, majorant_sum,
+                                      area_sum], ids=lambda call: call.__name__)
+    @pytest.mark.parametrize("tail", [TailBound(C=0.5, q=0.5), None], ids=["tail", "no-tail"])
+    def test_nan_radius(self, call, tail):
+        f = TruncatedSeries(dim=1, max_degree=2, coeffs={(0,): 0.5 + 0j, (2,): 0.25 + 0j},
+                            tail=tail)
+        with pytest.raises(ValueError, match=r"^radius must be >= 0, got nan$"):
+            call(f, math.nan)
+
 
 class TestEulerDerivative:
     def test_annihilates_constants(self):
