@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import cached_property
 from typing import Callable, ClassVar
 
 from .families import schwarz_power_map
@@ -42,17 +43,18 @@ class NoSignChangeError(ValueError):
 def bracketed_bisection(g: Callable[[float], float], lo: float, hi: float,
                         tol: float = BISECTION_TOL) -> tuple[float, float, float]:
     """Root of g on [lo, hi] by bisection; returns (root, lo, hi) with the
-    final bracket.  Requires a sign change, tested without multiplying (a
-    product can underflow); a NaN at an end or a midpoint has no sign and
-    raises.  At most 60 iterations reach width <= tol."""
+    final bracket, of zero width when g is exactly zero at an end or a
+    midpoint.  Requires a sign change, tested without multiplying (a product
+    can underflow); a NaN at an end or a midpoint has no sign and raises.  At
+    most 60 iterations reach width <= tol."""
     glo, ghi = g(lo), g(hi)
     if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):
         raise NoSignChangeError(
             f"g({lo}) = {glo} and g({hi}) = {ghi} do not change sign")
     if glo == 0.0:
-        return lo, lo, hi
+        return lo, lo, lo
     if ghi == 0.0:
-        return hi, lo, hi
+        return hi, hi, hi
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= tol:
             break
@@ -61,7 +63,7 @@ def bracketed_bisection(g: Callable[[float], float], lo: float, hi: float,
         if math.isnan(gm):
             raise NoSignChangeError(f"g({mid}) is NaN")
         if gm == 0.0:
-            return mid, lo, hi
+            return mid, mid, mid
         if glo < 0.0 < gm or gm < 0.0 < glo:
             hi, ghi = mid, gm
         else:
@@ -81,7 +83,8 @@ def min_positive_root(g: Callable[[float], float],
     first: tuple[float, float] | None = None
     extra: list[float] = []
     for i in range(2, MIN_ROOT_GRID + 1):
-        x, v = i * h, g(i * h)
+        x = i * h
+        v = g(x)
         # An exact zero at the high end without a sign change (a boundary
         # double root) is not a crossing; it surfaces through the error path.
         crossing = prev_v < 0.0 < v or v < 0.0 < prev_v or (v == 0.0 and i < MIN_ROOT_GRID)
@@ -231,8 +234,8 @@ class RmN(RadiusFamily):
         return 1.0 / self.n
 
     def poly(self, r: float) -> float:
-        nr = self.n * r
-        return 2.0 * nr ** self.N * (1.0 + r ** self.m) - (1.0 - nr) * (1.0 - r ** self.m)
+        nr, rm = self.n * r, r ** self.m
+        return 2.0 * nr ** self.N * (1.0 + rm) - (1.0 - nr) * (1.0 - rm)
 
     def functional(self, f, r):
         return functional_B(f, schwarz_power_map(self.n, self.m),
@@ -316,12 +319,18 @@ class ConvexMNT(RadiusFamily):
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"t must lie in [0,1], got {self.t}")
 
-    def poly(self, x: float) -> float:
+    @cached_property
+    def _terms(self) -> tuple[float, float, float, float, int, int]:
+        # (4t-3) x^(m+1) - (2t-1) x^m + (2t-3) n^(m-1) x + n^(m-1), read on
+        # the first poly call, so a scale too large for a float raises
+        # inside solve
         t, scale = self.t, float(self.n ** (self.m - 1))
-        return ((4.0 * t - 3.0) * x ** (self.m + 1)
-                - (2.0 * t - 1.0) * x ** self.m
-                + (2.0 * t - 3.0) * scale * x
-                + scale)
+        return (4.0 * t - 3.0, 2.0 * t - 1.0, (2.0 * t - 3.0) * scale, scale,
+                self.m + 1, self.m)
+
+    def poly(self, x: float) -> float:
+        a, b, c, scale, top, m = self._terms
+        return a * x ** top - b * x ** m + c * x + scale
 
     def functional(self, f, r):
         return functional_C(f, schwarz_power_map(self.n, self.m),

@@ -2,6 +2,7 @@
 and agreement with an independent root finder."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from scipy.optimize import brentq
@@ -33,9 +34,23 @@ SQRT2M1 = math.sqrt(2.0) - 1.0
 
 class TestBisection:
     def test_simple_linear(self):
-        root, lo, hi = bracketed_bisection(lambda x: x - 0.5, 0.0, 1.0)
-        assert root == pytest.approx(0.5, abs=1e-13)
-        assert lo < root <= hi
+        # the first midpoint is an exact zero, so the bracket shrinks onto it
+        assert bracketed_bisection(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("g,root", [(lambda x: x, 0.0), (lambda x: x - 1.0, 1.0)],
+                             ids=["low-end", "high-end"])
+    def test_exact_zero_at_an_end_is_a_zero_width_bracket(self, g, root):
+        assert bracketed_bisection(g, 0.0, 1.0) == (root, root, root)
+
+    @pytest.mark.parametrize("family", [
+        RogosinskiUni(N=1, p=2), AN(n=2, N=2), ConvexMNT(m=1, n=2, t=0.75),
+    ])
+    def test_exact_zero_prints_a_zero_width_bracket(self, family):
+        # 2r^2 + r - 1, 2x^2 + x - 1 and the scan's grid point x = 1/2 are
+        # exact zeros at x = 1/2
+        res = solve(family)
+        assert res.radius_x == 0.5
+        assert res.bracket == (0.5, 0.5)
 
     def test_euler_quartic_against_tighter_oracle(self):
         g = lambda x: x ** 4 + x ** 3 + 3 * x - 1
@@ -247,6 +262,24 @@ class TestEulerQuartics:
             EulerLambda(n=1, lam=0.0)
 
 
+def exact_convex_mnt_root(m: int, n: int, t: float) -> float:
+    """Smallest positive root of ConvexMNT's equation written out over the
+    rationals, t read as its binary64 value: the first sign change on a 1/256
+    grid of (0, 1], then 60 bisections decided by exact signs."""
+    t, scale = Fraction(t), n ** (m - 1)
+
+    def p(x: Fraction) -> Fraction:
+        return ((4 * t - 3) * x ** (m + 1) - (2 * t - 1) * x ** m
+                + (2 * t - 3) * scale * x + scale)
+
+    hi = next(Fraction(k, 256) for k in range(1, 257) if p(Fraction(k, 256)) <= 0)
+    lo = hi - Fraction(1, 256)  # p(0) = n^(m-1) > 0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if p(mid) <= 0 else (mid, hi)
+    return float(hi)
+
+
 class TestConvexMNT:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -282,6 +315,15 @@ class TestConvexMNT:
         res = solve(ConvexMNT(m=2, n=2, t=0.5))
         assert res.residual < 1e-12
         assert 0.0 < res.radius_x < 1.0
+
+    @pytest.mark.parametrize("m,n,t", [(2, 3, 0.5), (3, 3, 0.45), (3, 2, 0.8), (2, 2, 0.5)])
+    def test_against_an_exact_smallest_root(self, m, n, t):
+        # at n >= 2 this sees the scale n^(m-1), which t = 0 and n = 1 cannot
+        exact = exact_convex_mnt_root(m, n, t)
+        assert solve(ConvexMNT(m=m, n=n, t=t)).radius_x == pytest.approx(exact, abs=1e-12)
+
+    def test_exact_root_reference_value(self):
+        assert exact_convex_mnt_root(2, 3, 0.5) == pytest.approx(0.4814056, abs=1e-7)
 
 
 class TestAreaFamily:
