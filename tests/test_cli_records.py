@@ -55,6 +55,9 @@ def test_stdout_is_what_the_standard_writers_print(argv):
     out = run_main(argv)[1]
     if out.startswith("{"):
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    elif out.startswith("usage: "):
+        # --help prints argparse's help text, not a record
+        assert "--help" in argv
     elif out:
         columns, *rows = csv.reader(io.StringIO(out))
         cells = [cell for row in rows for col, cell in zip(columns, row)
