@@ -11,7 +11,8 @@ as their ``repr``, which parses back to the same binary64.  Exit status: 0
 on success, 1 when a suite fails or the computation fails (an ``error``
 record), 2 on usage errors, such as a flag the command does not read,
 printed under the subcommand's own usage line.  The first ``main`` call
-builds the parser; later calls reuse it.
+builds the parser; later calls reuse it.  The first word picks the
+subcommand's parser, which parses the rest once.
 """
 
 from __future__ import annotations
@@ -379,11 +380,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_limits.add_argument("--m-list", dest="m_list", default=None)
     p_limits.set_defaults(run=cmd_limits, parser=p_limits)
 
+    for name, sub in subs.choices.items():
+        sub.set_defaults(command=name)
+    parser.commands = subs.choices
     return parser
 
 
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse once, with the parser of the command that the first word names.
+    No first word, one that names no command, or an argument that command
+    leaves over goes to the top-level parser, which prints the usage line,
+    error and exit status it always has."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.run(args)
     except (NoSignChangeError, CapacityError, DivergentTailError, OverflowError) as exc:

@@ -471,6 +471,46 @@ class TestSharedParser:
         assert len(wide.splitlines()) == 2
         assert len(narrow.splitlines()) > 2
 
+    @staticmethod
+    def spy(monkeypatch, parser, method):
+        """The argument vectors later passed to ``parser.<method>``."""
+        calls = []
+        real = getattr(parser, method)
+
+        def record(args, *rest):
+            calls.append(list(args))
+            return real(args, *rest)
+
+        monkeypatch.setattr(parser, method, record)
+        return calls
+
+    def test_a_command_is_parsed_once_by_its_own_parser(self, monkeypatch):
+        parser = cli.build_parser()
+        top = self.spy(monkeypatch, parser, "parse_args")
+        sub = self.spy(monkeypatch, parser.commands["radius"], "parse_known_args")
+        assert main_in_process(["radius", "--family", "classical", "--n", "2"])[0] == 0
+        assert sub == [["--family", "classical", "--n", "2"]]
+        assert top == []
+
+    @pytest.mark.parametrize("argv,code", [
+        ([], 2), (["nosuch"], 2), (["--help"], 0),
+        (["radius", "--family", "classical", "--bogus"], 2)])
+    def test_other_inputs_go_to_the_top_level_parser(self, argv, code, monkeypatch):
+        top = self.spy(monkeypatch, cli.build_parser(), "parse_args")
+        assert main_in_process(argv)[0] == code
+        assert top == [argv]
+
+    def test_a_cleared_cache_gives_the_dispatch_a_fresh_table(self, monkeypatch):
+        cli.build_parser.cache_clear()
+        old = cli.build_parser()
+        cli.build_parser.cache_clear()
+        new = cli.build_parser()
+        assert new.commands is not old.commands
+        stale = self.spy(monkeypatch, old.commands["radius"], "parse_known_args")
+        fresh = self.spy(monkeypatch, new.commands["radius"], "parse_known_args")
+        assert main_in_process(["radius", "--family", "classical"])[0] == 0
+        assert (stale, fresh) == ([], [["--family", "classical"]])
+
 
 def test_entry_point_help():
     proc = run_cli("--help")
