@@ -39,6 +39,11 @@ from .series import (
 # certified tails at or below 0.875.
 SAMPLE_POLE_MODULUS_CAP = 0.75
 
+# Extremal tables of at most this many heads outlive their series: a head
+# takes about 90-180 B, so the eight memoized tables hold a few MB at most,
+# where one (6, 30) table alone takes 57 MB.
+MEMO_HEADS_CAP = 4096
+
 
 class Lcg64:
     """Deterministic 64-bit linear congruential generator.
@@ -124,7 +129,9 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
         raise CapacityError(
             f"degree {MULTINOMIAL_DEGREE_CAP + 1} exceeds the multinomial "
             f"cap {MULTINOMIAL_DEGREE_CAP}")
-    heads, walk, S = _extremal_tables(n, K)
+    build = (_extremal_tables if math.comb(K + n - 1, n - 1) <= MEMO_HEADS_CAP
+             else _extremal_tables.__wrapped__)
+    heads, walk, S = build(n, K)
     # the constant a, then ak[k] = c_k = -(1-a^2) a^{k-1}, the factor of
     # every degree-k multinomial
     scale = -(1.0 - a * a)
@@ -162,7 +169,8 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=8)
 def _extremal_tables(n: int, K: int) -> tuple[tuple, tuple, tuple[int, ...]]:
-    """Heads, walk and S_n of the degree-K extremal series, built once per (n, K)."""
+    """Heads, walk and S_n of the degree-K extremal series, built once per
+    (n, K) when it has at most MEMO_HEADS_CAP heads (C(K+n-1, n-1))."""
     # heads[j] lists (head, M(head)) of degree j; for n = 1 the one head is ()
     heads = ((((), 1),),) if n == 1 else tuple(
         tuple(colex_multinomials(n - 1, j)) for j in range(K + 1))

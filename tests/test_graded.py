@@ -4,6 +4,7 @@ against its definition, and the independence of the hold-below
 and sharpness hot paths from that dict."""
 
 import cmath
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -146,8 +147,10 @@ class TestExtremalBitIdentity:
 
 
 class TestExtremalTables:
-    """The head, walk and S_n tables are built once per (n, K): a build that
-    reads them from the memo equals a build that makes them afresh."""
+    """The head, walk and S_n tables are built once per (n, K) when they have
+    at most MEMO_HEADS_CAP heads, and live only as long as their series when
+    they have more: a build that reads them from the memo equals a build that
+    makes them afresh."""
 
     @staticmethod
     def graded_bits(f, z):
@@ -181,6 +184,31 @@ class TestExtremalTables:
         first = len(calls)
         extremal_series(ExtremalSpec(0.9, 3), 10)
         assert first > 0 and len(calls) == first
+
+    # the deep_series ladder, and the suites' and sharpness escalation's K
+    @pytest.mark.parametrize("n,K", [(2, 48), (3, 28), (4, 24),
+                                     (1, 16), (2, 16), (3, 16), (3, 32), (3, 60)])
+    def test_workload_tables_stay_memoized(self, n, K):
+        families._extremal_tables.cache_clear()
+        extremal_series(ExtremalSpec(0.5, n), K)
+        extremal_series(ExtremalSpec(0.9, n), K)
+        assert families._extremal_tables.cache_info()[:2] == (1, 1)
+
+    def test_a_dropped_large_series_frees_its_tables(self):
+        # (5, 20) has C(24, 4) = 10,626 heads, about 1.5 MB of tables
+        families._extremal_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            f = extremal_series(ExtremalSpec(0.5, 5), 20)
+            held = tracemalloc.get_traced_memory()[0] - before
+            del f
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert families._extremal_tables.cache_info().currsize == 0
+        assert held > 1e6 and left < 1e4, (held, left)
 
 
 class TestLazySquaredBlocks:
