@@ -316,6 +316,13 @@ class TestSchwarzMaps:
         with pytest.raises(ValueError):
             eval_schwarz(omega, (1.2 + 0j,))
 
+    def test_rejects_points_on_the_boundary(self):
+        # the polydisc is open: an inf-norm of exactly 1 is outside it
+        omega = schwarz_power_map(2, 1)
+        for z in ((1.0 + 0j, 0.5 + 0j), (0.3 + 0j, -1j)):
+            with pytest.raises(ValueError, match="open unit polydisc"):
+                eval_schwarz(omega, z)
+
 
 class TestLcg64:
     def test_fixed_constants_stream(self):

@@ -141,6 +141,12 @@ class TestFunctionalC:
             rep = functional_C(f, schwarz_power_map(1, 1), (-0.5 + 0j,), t=1.0)
             assert rep.verdict is Verdict.HOLDS
 
+    def test_weight_one_is_the_last_accepted(self):
+        f, omega, z = extremal(0.5, 1), schwarz_power_map(1, 1), (-0.2 + 0j,)
+        assert functional_C(f, omega, z, t=1.0).verdict is Verdict.HOLDS
+        with pytest.raises(ValueError, match="convex weight must lie in"):
+            functional_C(f, omega, z, t=math.nextafter(1.0, 2.0))
+
     def test_violation_above_convex_radius(self):
         # R(1/2) = 2 sqrt(1/2) - 1; oracle value at R + 0.005 with a = 0.999
         # is 1.000016245979029

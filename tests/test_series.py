@@ -381,6 +381,11 @@ class TestTailMachinery:
         with pytest.raises(OverflowError, match="weight-2 tail from degree 1 at ratio 0.999"):
             _weighted_geometric_sum(1e300, 0.999, 2, 1)
 
+    def test_ratio_exactly_one_diverges(self):
+        for weight in (0, 1, 2):
+            with pytest.raises(DivergentTailError, match="tail ratio 1.0 >= 1"):
+                _weighted_geometric_sum(1.0, 1.0, weight, 1)
+
     def test_stepped_sum(self):
         # multiples of 3 starting at 6: x^6/(1 - x^3)
         got = _weighted_geometric_sum(1.0, 0.4, 0, 6, step=3)

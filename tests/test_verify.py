@@ -12,6 +12,7 @@ from polybohr import (
     FromDegree,
     MultiplesOf,
     RmnN,
+    RogosinskiUni,
     SuiteConfig,
     audit_lemmas,
     check_holds_below,
@@ -22,7 +23,7 @@ from polybohr import (
 )
 from polybohr import verify
 from polybohr.families import sample_product_spec
-from polybohr.radii import branch_diagonal
+from polybohr.radii import RadiusResult, branch_diagonal, solve
 from polybohr.series import DivergentTailError
 from polybohr.verify import case_seed
 
@@ -192,6 +193,44 @@ class TestAudits:
         assert set(stats.checks) == {"growth", "coefficient", "radial"}
         assert all(v > 0 for v in stats.checks.values())
 
+    def test_one_pair_audits_recompute_from_the_lemmas(self, monkeypatch):
+        # Each pair's margins come from the three bounds of the docstring,
+        # applied to the function and point the audit drew; between them the
+        # three pairs make each bound the binding one, so loosening any of
+        # them moves worst_margin.
+        drawn = {}
+
+        def keep(name):
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name,
+                                lambda *args: drawn.setdefault(name, real(*args)))
+
+        keep("sample_product_spec")
+        keep("_random_point")
+        binding = set()
+        for n, r, seed in ((1, 0.1, 0), (2, 0.1, 0), (1, 0.05, 1)):
+            drawn.clear()
+            stats = audit_lemmas(samples=1, dims=[n], radii=[r], seed=seed,
+                                 points_per_radius=1)
+            spec, z = drawn["sample_product_spec"], drawn["_random_point"]
+            coeffs = spec.series(12).coeffs
+            a0, fz, nr = abs(coeffs[(0,) * n]), abs(spec.eval(z)), n * r
+            margins = {
+                "coefficient": min(1.0 - a0 * a0 - abs(c)
+                                   for alpha, c in coeffs.items() if any(alpha)),
+                "growth": (a0 + r) / (1.0 + a0 * r) - fz,
+                "radial": nr * (1.0 - fz ** 2) / (1.0 - nr * nr) - abs(spec.euler_eval(z)),
+            }
+            assert (stats.pairs, stats.violations) == (1, 0)
+            # one growth and one radial check per pair, one coefficient
+            # check per nonzero multi-index of degree <= 12
+            assert stats.checks == {"growth": 1, "coefficient": math.comb(12 + n, n) - 1,
+                                    "radial": 1}
+            assert stats.worst_margin - 1e-12 == pytest.approx(min(margins.values()),
+                                                               rel=0, abs=1e-16)
+            binding.add(min(margins, key=margins.get))
+        assert binding == set(margins)
+
 
 class TestEulerClosedForm:
     def test_grid_meets_relative_tolerance(self):
@@ -204,6 +243,51 @@ class TestEulerClosedForm:
         (chk,) = euler_closed_form_check([0.0], [2], [0.1])
         assert chk.closed_value == pytest.approx(0.2)
         assert chk.rel_error < 1e-14
+
+
+class TestRadiusMutations:
+    """Which suite catches a wrong radius: ``solve`` as the suites see it
+    returns the radius scaled by 1 + d, and both suites run at 200 samples,
+    seed 7.  HB: hold-below fails, SH: sharpness-above fails, ok: both pass,
+    so the wrong radius goes uncaught.  A cell caught today must stay caught;
+    an ``ok`` cell may become caught."""
+
+    FACTORS = (-0.2, -0.1, -0.05, -0.02, -0.01, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
+    TODAY = (
+        (Classical(1), "SH SH ok ok ok ok ok ok ok ok ok"),
+        (Classical(3), "SH ok ok ok ok ok ok ok ok ok ok"),
+        (RmnN(m=2, n=2, N=2), "SH ok ok ok ok ok ok ok ok ok ok"),
+        (EulerLambda(n=1, lam=0.5), "SH SH ok ok ok ok ok ok ok ok HB"),
+        (ConvexT(t=0.5), "SH SH SH ok ok ok ok ok ok ok ok"),
+        (RogosinskiUni(N=1, p=1), "ok ok ok ok ok ok ok ok ok ok HB"),
+        # every d fails: criterion 9's missing area witness
+        (AreaT(n=1, t=0.4), "SH SH SH SH SH SH SH SH SH SH SH"),
+    )
+
+    @staticmethod
+    def cell(family, d, monkeypatch):
+        def scaled(fam):
+            res = solve(fam)
+            return RadiusResult(res.family, res.radius_r * (1 + d), res.radius_x * (1 + d),
+                                res.residual, res.bracket, res.multiplicity_note)
+
+        monkeypatch.setattr(verify, "solve", scaled)
+        config = SuiteConfig(family=family, seed=7)
+        caught = ("HB" * (not check_holds_below(config).passed)
+                  + "SH" * (not check_sharpness_above(config).passed))
+        return caught or "ok"
+
+    def test_caught_cells_stay_caught(self, monkeypatch):
+        rows = [(family, [self.cell(family, d, monkeypatch) for d in self.FACTORS])
+                for family, _ in self.TODAY]
+        table = "\n".join([f"{'d':27}" + "".join(f"{d:>+7.0%}" for d in self.FACTORS)]
+                          + [f"{family!r:27}" + "".join(f"{c:>7}" for c in row)
+                             for family, row in rows])
+        print(table)
+        lost = [(family, d) for (family, today), (_, row) in zip(self.TODAY, rows)
+                for d, was, now in zip(self.FACTORS, today.split(), row)
+                if was != "ok" and now == "ok"]
+        assert not lost, table
 
 
 class TestCaseOrder:
