@@ -386,23 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parse once, with the parser of the command that the first word names.
-    No first word, one that names no command, or an argument that command
-    leaves over goes to the top-level parser, which prints the usage line,
-    error and exit status it always has."""
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # No first word, one that names no command, or an argument the command
+    # leaves over goes to the top-level parser, which prints the usage line,
+    # error and exit status it always has.
     sub = parser.commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return parser.parse_args(argv)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse(argv)
+    args, extras = sub.parse_known_args(argv[1:]) if sub else (None, None)
+    if sub is None or extras:
+        args = parser.parse_args(argv)
     try:
         return args.run(args)
     except (NoSignChangeError, CapacityError, DivergentTailError, OverflowError) as exc:
