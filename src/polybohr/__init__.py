@@ -18,7 +18,6 @@ from .families import (
     extremal_closed_eval,
     extremal_series,
     sample_product_spec,
-    sample_schwarz_map,
     schwarz_power_map,
 )
 from .functionals import (

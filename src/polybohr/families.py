@@ -7,8 +7,9 @@ Three kinds of inputs feed the functional and verification layers:
 * products of Blaschke factors, one list per coordinate, which are bounded by
   one on the whole polydisc *by construction* and therefore serve as certified
   random test functions,
-* componentwise Schwarz maps omega_i(w) = w^m B_i(w) vanishing to order >= m
-  at the origin.
+* the power maps omega(z) = (z_1^m, ..., z_n^m), the only Schwarz maps the
+  functionals need: a map of order m sends inf-norm r into the closed
+  polydisc of radius r^m, where |f| peaks on the torus (maximum principle).
 
 Randomness comes from a 64-bit linear congruential generator with fixed
 constants so that seeded streams are byte-identical across platforms.
@@ -114,7 +115,8 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
     multinomial C(k, last) M(head), ascending ``last`` visiting colex order.
     The parts, and the dict built from :func:`colex_multinomials` on first
     access only, are bit for bit those of the definition.  For a = 0 the
-    series terminates at degree 1 and carries no tail.
+    series is -s, exact for K >= 1; at K = 0 the tail C = n, q = 1 covers
+    its one degree-1 block.
     """
     if K < 0:
         raise ValueError(f"max degree must be >= 0, got {K}")
@@ -122,9 +124,9 @@ def extremal_series(spec: ExtremalSpec, K: int) -> TruncatedSeries:
     _check_series_capacity(n, K)
     closed_form = partial(extremal_closed_eval, spec)
     if a == 0.0:
-        coeffs = {(0,) * n: complex(a)} | {
-            alpha: -1.0 + 0.0j for alpha, _ in colex_multinomials(n, 1)}
-        return TruncatedSeries(n, max(K, 1), coeffs, None, closed_form)
+        coeffs = {(0,) * n: complex(a)} | (
+            {alpha: -1.0 + 0.0j for alpha, _ in colex_multinomials(n, 1)} if K else {})
+        return TruncatedSeries(n, K, coeffs, None if K else TailBound(float(n), 1.0), closed_form)
     if K > MULTINOMIAL_DEGREE_CAP:
         raise CapacityError(
             f"degree {MULTINOMIAL_DEGREE_CAP + 1} exceeds the multinomial "
@@ -348,29 +350,19 @@ def sample_product_spec(seed: int, n: int, factors_per_coordinate: int) -> Produ
 
 @record
 class SchwarzMapSpec:
-    """Componentwise self-maps omega_i(w) = w^m B_i(w) of the unit disc,
-    vanishing to order >= m at the origin (B_i a finite Blaschke product,
-    possibly empty)."""
+    """The power map omega(z) = (z_1^m, ..., z_n^m).  Every Schwarz map of
+    order m sends inf-norm r into the closed polydisc of radius r^m, where |f|
+    peaks on the torus (maximum principle), which this map reaches up to a
+    rotation; so the functionals need no other map."""
 
     n: int
     m: int
-    tails: tuple[tuple[BlaschkeFactor, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.m < 1:
             raise ValueError(f"vanishing order must be >= 1, got {self.m}")
-        if self.tails and len(self.tails) != self.n:
-            raise ValueError(
-                f"{len(self.tails)} tail factor lists for dimension {self.n}")
-
-    def component(self, i: int, w: complex) -> complex:
-        value = w ** self.m
-        if self.tails:
-            for f in self.tails[i]:
-                value *= f.eval(w)
-        return value
 
 
 def schwarz_power_map(n: int, m: int) -> SchwarzMapSpec:
@@ -378,17 +370,10 @@ def schwarz_power_map(n: int, m: int) -> SchwarzMapSpec:
     return SchwarzMapSpec(n=n, m=m)
 
 
-def sample_schwarz_map(seed: int, n: int, m: int,
-                       factors_per_coordinate: int = 1) -> SchwarzMapSpec:
-    """Seeded Schwarz map with Blaschke tail factors on every coordinate."""
-    base = sample_product_spec(seed, n, factors_per_coordinate)
-    return SchwarzMapSpec(n=n, m=m, tails=base.factors)
-
-
 def eval_schwarz(omega: SchwarzMapSpec, z: Point) -> Point:
-    """Componentwise image; the output inf-norm is at most (inf-norm)^m."""
+    """Componentwise image; the output inf-norm is (inf-norm)^m."""
     if len(z) != omega.n:
         raise ValueError(f"point dimension {len(z)} != {omega.n}")
     if inf_norm(z) >= 1.0:
         raise ValueError("Schwarz maps are defined on the open unit polydisc")
-    return tuple(omega.component(i, w) for i, w in enumerate(z))
+    return tuple(w ** omega.m for w in z)

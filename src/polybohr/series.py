@@ -6,8 +6,8 @@ the squared block sum_{|alpha|=k} |a_alpha|^2 and the degree-k part P_k(z)
 at a point.  Every functional reads only these.  The coefficients a_alpha
 are also available as a dict keyed by exponent tuples (absent keys are
 zero), which the product series and the a > 0 extremal series build only
-when it is asked for.  An optional :class:`TailBound` certifies that every
-discarded degree block satisfies
+when it is asked for; the radial derivative carries none.  An optional
+:class:`TailBound` certifies that every discarded degree block satisfies
 
     sum_{|alpha|=k} |a_alpha|  <=  C * k^weight * q^k      for all k > K,
 
@@ -138,13 +138,14 @@ class TruncatedSeries:
     A hand-built dict ``coeffs`` is validated and its graded data derived
     once.  The package's constructors pass ``graded=(blocks, squared, parts)``
     with their dict, or a function that builds the dict on first access;
-    ``squared`` may likewise be a function, called on the first read.
+    ``squared`` may likewise be a function, called on the first read.  A
+    derived series (the radial derivative) carries no dict: ``coeffs`` is None.
     ``closed_form``, when present, evaluates the function exactly at a point;
     evaluation-type functionals prefer it over the truncated sum.
     """
 
     def __init__(self, dim: int, max_degree: int,
-                 coeffs: CoeffDict | Callable[[], CoeffDict],
+                 coeffs: CoeffDict | Callable[[], CoeffDict] | None,
                  tail: Optional[TailBound] = None,
                  closed_form: Optional[Callable[[Point], complex]] = None,
                  graded: Optional[Graded] = None) -> None:
@@ -160,7 +161,7 @@ class TruncatedSeries:
             dim, max_degree, coeffs)
 
     @cached_property
-    def coeffs(self) -> CoeffDict:
+    def coeffs(self) -> CoeffDict | None:
         return self._coeffs() if callable(self._coeffs) else self._coeffs
 
     @cached_property
@@ -257,12 +258,10 @@ def euler_derivative(f: TruncatedSeries) -> TruncatedSeries:
     result is raised by one, so its tail is the closed-form sum of
     C k^(w+1) (q r)^k rather than a loosened geometric constant."""
     tail = None if f.tail is None else TailBound(f.tail.C, f.tail.q, f.tail.weight + 1)
-    return TruncatedSeries(
-        f.dim, f.max_degree,
-        lambda: {alpha: sum(alpha) * c for alpha, c in f.coeffs.items() if sum(alpha) >= 1},
-        tail, graded=([k * b for k, b in enumerate(f.blocks)],
-                      lambda: [k * k * b for k, b in enumerate(f.squared)],
-                      lambda z: [k * p for k, p in enumerate(f.parts(z))]))
+    return TruncatedSeries(f.dim, f.max_degree, None, tail, graded=(
+        [k * b for k, b in enumerate(f.blocks)],
+        lambda: [k * k * b for k, b in enumerate(f.squared)],
+        lambda z: [k * p for k, p in enumerate(f.parts(z))]))
 
 
 def area_sum(f: TruncatedSeries, r: float) -> EvalReport:

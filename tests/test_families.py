@@ -1,4 +1,4 @@
-"""Extremal family, Blaschke-product samples, and Schwarz maps."""
+"""Extremal family, Blaschke-product samples, and Schwarz power maps."""
 
 import cmath
 import math
@@ -17,10 +17,10 @@ from polybohr import (
     eval_series,
     extremal_closed_eval,
     extremal_series,
+    functional_A,
     inf_norm,
     majorant_block_sums,
     sample_product_spec,
-    sample_schwarz_map,
     schwarz_power_map,
 )
 from polybohr import families
@@ -32,6 +32,17 @@ class TestExtremalSeries:
         nonzero = {a: c for a, c in f.coeffs.items() if c != 0}
         assert nonzero == {(1, 0): -1 + 0j, (0, 1): -1 + 0j}
         assert f.tail is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_zero_truncated_at_degree_zero(self, n):
+        # f = -s truncated at K = 0: the constant 0 alone, and a tail that
+        # covers the dropped majorant n r, so functional A is not 0
+        f = extremal_series(ExtremalSpec(0.0, n), 0)
+        assert f.max_degree == 0
+        assert f.coeffs == {(0,) * n: 0j}
+        for r in (0.01, 0.3, 0.9):
+            rep = functional_A(f, r)
+            assert rep.value + rep.tail_bound >= n * r
 
     def test_univariate_cubic_coefficient(self):
         # long-division oracle for (a - z)/(1 - a z): c_0 = a,
@@ -290,26 +301,29 @@ class TestSchwarzMaps:
         assert got[1] == pytest.approx(0.09)
 
     def test_origin_fixed(self):
-        omega = sample_schwarz_map(3, 2, m=2)
+        omega = schwarz_power_map(2, 2)
         assert eval_schwarz(omega, (0j, 0j)) == (0j, 0j)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_contraction_order(self, m):
-        # |omega_i(w)| <= |w|^m, dense sampling up to |w| = 0.99
-        omega = sample_schwarz_map(11, 1, m=m, factors_per_coordinate=1)
+        # |omega_i(w)| = |w|^m up to rounding, dense sampling up to |w| = 0.99
+        omega = schwarz_power_map(1, m)
         rng = Lcg64(5)
         for _ in range(400):
             rho = rng.uniform(0, 0.99)
             w = rho * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            assert abs(omega.component(0, w)) <= rho ** m + 1e-12
+            assert abs(eval_schwarz(omega, (w,))[0]) == pytest.approx(rho ** m, rel=1e-13)
 
     def test_eval_schwarz_norm_bound(self):
-        omega = sample_schwarz_map(23, 3, m=2, factors_per_coordinate=2)
+        # the image of inf-norm r has inf-norm r^2, so it is on the torus of
+        # radius r^2 where |f| peaks over the polydisc of that radius
+        omega = schwarz_power_map(3, 2)
         rng = Lcg64(6)
         for _ in range(200):
             z = tuple(rng.uniform(0, 0.8) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
                       for _ in range(3))
-            assert inf_norm(eval_schwarz(omega, z)) <= inf_norm(z) ** 2 + 1e-12
+            assert inf_norm(eval_schwarz(omega, z)) == pytest.approx(inf_norm(z) ** 2,
+                                                                     rel=1e-13)
 
     def test_rejects_points_outside_polydisc(self):
         omega = schwarz_power_map(1, 1)

@@ -48,9 +48,7 @@ RECORDS = [
     (ProductFunctionSpec, ("factors", "phase"), {"phase": 0.0},
      (((BlaschkeFactor(0.5),),), 0.25),
      "ProductFunctionSpec(factors=((BlaschkeFactor(w=0.5),),), phase=0.25)"),
-    (SchwarzMapSpec, ("n", "m", "tails"), {"tails": ()},
-     (2, 3, ((), (BlaschkeFactor(0.5),))),
-     "SchwarzMapSpec(n=2, m=3, tails=((), (BlaschkeFactor(w=0.5),)))"),
+    (SchwarzMapSpec, ("n", "m"), {}, (2, 3), "SchwarzMapSpec(n=2, m=3)"),
     (FromDegree, ("N",), {}, (3,), "FromDegree(N=3)"),
     (MultiplesOf, ("N",), {}, (3,), "MultiplesOf(N=3)"),
     (RadiusResult,

@@ -266,12 +266,18 @@ class TestMajorantSum:
 class TestEulerDerivative:
     def test_annihilates_constants(self):
         f = TruncatedSeries(dim=2, max_degree=0, coeffs={(0, 0): 5 + 0j})
-        assert euler_derivative(f).coeffs == {}
+        df = euler_derivative(f)
+        assert df.coeffs is None
+        assert (df.blocks, df.squared, df.parts((0.3 + 0j, -0.2j))) == ([0.0], [0.0], [0j])
 
     def test_degree_two_monomial(self):
+        # D(z_1 z_2) = 2 z_1 z_2: block 2, squared block 4, degree-2 part 2 z_1 z_2
         f = TruncatedSeries(dim=2, max_degree=2, coeffs={(1, 1): 1 + 0j})
         df = euler_derivative(f)
-        assert df.coeffs == {(1, 1): 2 + 0j}
+        z = (0.3 + 0.1j, -0.2 + 0.5j)
+        assert df.coeffs is None
+        assert df.blocks == [0.0, 0.0, 2.0] and df.squared == [0.0, 0.0, 4.0]
+        assert df.parts(z) == [0j, 0j, 2 * (z[0] * z[1])]
 
     def test_tail_weight_bumped(self):
         f = extremal_series(ExtremalSpec(0.5, 2), 8)
