@@ -271,48 +271,15 @@ class AN(RadiusFamily):
 
 @record
 class ConvexT(RadiusFamily):
-    """Univariate convex combination t |f(z)| + (1-t) majorant.
-
-    Closed form (1 - 2 sqrt(1-t)) / (4t - 3) away from t = 3/4, where the
-    removable value is 1/2.
-    """
+    """Convex combination t |f(w(z))| + (1-t) majorant with a composition
+    head of order m in dimension n, both 1 here and fields of ConvexMNT.
+    The root of (4t-3) r^2 - 2r + 1 is 1/(1 + 2 sqrt(1-t)) in closed form,
+    with no cancellation near t = 3/4."""
 
     t: float
+    m: ClassVar[int] = 1
+    n: ClassVar[int] = 1
     name = "convext"
-    solve_var = "r"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"t must lie in [0,1], got {self.t}")
-
-    def poly(self, r: float) -> float:
-        return (4.0 * self.t - 3.0) * r * r - 2.0 * r + 1.0
-
-    def closed_form(self) -> RadiusResult:
-        # Guard band around the removable singularity at t = 3/4 avoids the
-        # 0/0 cancellation; its value 1/2 is the root of the limiting
-        # quadratic -2r + 1.
-        if abs(self.t - 0.75) < 1e-10:
-            return RadiusResult(self, 0.5, 0.5, 0.0, (0.0, 0.5),
-                                "closed form (guard band at t = 3/4)")
-        r = (1.0 - 2.0 * math.sqrt(1.0 - self.t)) / (4.0 * self.t - 3.0)
-        return RadiusResult(self, r, r, abs(self.poly(r)), (0.0, r), "closed form")
-
-    def functional(self, f, r):
-        return functional_C(f, schwarz_power_map(1, 1), (-r + 0.0j,), self.t)
-
-
-@record
-class ConvexMNT(RadiusFamily):
-    """Polydisc convex combination with a composition head of order m; the
-    radius is the minimum positive root of the degree m+1 polynomial in
-    x = n r."""
-
-    m: int
-    n: int
-    t: float
-    name = "convexmnt"
-    min_root = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -332,9 +299,29 @@ class ConvexMNT(RadiusFamily):
         a, b, c, scale, top, m = self._terms
         return a * x ** top - b * x ** m + c * x + scale
 
+    def closed_form(self) -> RadiusResult:
+        r = 1.0 / (1.0 + 2.0 * math.sqrt(1.0 - self.t))
+        return RadiusResult(self, r, r, abs(self.poly(r)), (0.0, r), "closed form")
+
     def functional(self, f, r):
         return functional_C(f, schwarz_power_map(self.n, self.m),
                             branch_diagonal(self.n, self.m, r), self.t)
+
+
+@record
+class ConvexMNT(ConvexT):
+    """Polydisc convex combination: ConvexT with the order m and the
+    dimension n as fields.  The radius is the minimum positive root of the
+    degree m+1 polynomial in x = n r."""
+
+    m: int
+    n: int
+    t: float
+    name = "convexmnt"
+    min_root = True
+
+    def closed_form(self) -> None:
+        return None
 
 
 @record

@@ -2,6 +2,7 @@
 and agreement with an independent root finder."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,19 @@ class TestClosedForms:
 
     def test_convex_t_half(self):
         assert solve(ConvexT(0.5)).radius_r == pytest.approx(math.sqrt(2) - 1, abs=1e-14)
+
+    def test_convex_t_is_accurate_near_three_quarters(self):
+        # 1/(1 + 2 sqrt(1-t)) to 50 digits as the reference; the equal form
+        # (1 - 2 sqrt(1-t))/(4t - 3) cancels near t = 3/4
+        ts = ([k / 400 for k in range(401)]
+              + [0.75 + s * j * 1e-9 for j in range(1, 51) for s in (1, -1)]
+              + [0.75 + s * 10.0 ** -e for e in range(2, 12) for s in (1, -1)])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for t in ts:
+                exact = 1 / (1 + 2 * (1 - Decimal(t)).sqrt())
+                got = Decimal(solve(ConvexT(t)).radius_r)
+                assert abs(got - exact) <= Decimal(4 * 2.0 ** -53) * exact, t
 
     def test_convex_t_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -296,6 +310,27 @@ class TestConvexMNT:
         with pytest.raises(NoSignChangeError) as err:
             solve(ConvexMNT(m=1, n=1, t=1.0))
         assert "boundary root" in str(err.value)
+
+    def test_m_n_one_is_convex_t(self):
+        # ConvexMNT extends ConvexT: at m = n = 1 its scanned root is the
+        # closed form, and both run the one functional, to the last bit
+        series = [sample_product_spec(7, 1, 3).series(12),
+                  extremal_series(ExtremalSpec(0.9, 1), 40)]
+        rootless = []
+        for t in (k / 40 for k in range(41)):
+            try:
+                scanned = solve(ConvexMNT(m=1, n=1, t=t)).radius_r
+            except NoSignChangeError:
+                rootless.append(t)
+                continue
+            radius = solve(ConvexT(t)).radius_r
+            assert abs(scanned - radius) <= 1e-13
+            for f in series:
+                a = ConvexT(t).functional(f, 0.99 * radius)
+                b = ConvexMNT(m=1, n=1, t=t).functional(f, 0.99 * radius)
+                assert (a.value.hex(), a.tail_bound.hex(), a.verdict) \
+                    == (b.value.hex(), b.tail_bound.hex(), b.verdict)
+        assert rootless == [1.0]  # the boundary double root above
 
     @pytest.mark.parametrize("m,n,t", [(1, 1, 0.5), (2, 2, 0.3), (3, 2, 0.8)])
     @pytest.mark.parametrize("a", [0.3, 0.9])
