@@ -46,6 +46,12 @@ TABLE_READS = {"thmC-limits": ("N_max",), "thm2.2-sweepN": ("m", "n", "N_max"),
                "thm2.2-sweepM": ("n", "N", "m_list"), "thmF-piecewise": ("n", "t_steps"),
                "thm2.3-grid": ("m", "n", "t_steps")}
 
+# The suite flags of verify and sharpness, by parser dest, in echo order, and
+# the SuiteConfig field each sets; SuiteConfig gives each its default and type
+SUITE_FLAGS = {"samples": "samples", "seed": "seed", "factors": "factors_per_coordinate",
+               "k_cap": "k_cap", "margin_below": "margin_below",
+               "margin_above": "margin_above"}
+
 
 def _emit_record(command: str, args_echo: dict, payload: dict) -> None:
     record = {
@@ -106,14 +112,10 @@ def _family_flags(sub: argparse.ArgumentParser) -> None:
                      help="tail weight for the euler family")
 
 
-def _echo_family_args(args: argparse.Namespace, family: RadiusFamily) -> dict:
-    echo: dict[str, Any] = {"family": args.family, "n": family.dim}
-    for key in ("m", "N", "t", "lam"):
-        val = getattr(args, key)
-        if val is not None:
-            echo["lambda" if key == "lam" else key] = val
-    if hasattr(family, "p"):
-        echo["p"] = family.p
+def _echo_family_args(family: RadiusFamily) -> dict:
+    echo: dict[str, Any] = {"family": family.name, "n": family.dim}
+    echo.update(("lambda" if k == "lam" else k, getattr(family, k))
+                for k in family.__match_args__ if k != "n")
     return echo
 
 
@@ -132,7 +134,7 @@ def _result_payload(res) -> dict:
 def cmd_radius(args: argparse.Namespace) -> int:
     family = _build_family(args)
     res = solve(family)
-    _emit_record("radius", _echo_family_args(args, family), _result_payload(res))
+    _emit_record("radius", _echo_family_args(family), _result_payload(res))
     return 0
 
 
@@ -232,25 +234,15 @@ def _suite_payload(report: SuiteReport) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     family = _build_family(args)
-    config = SuiteConfig(
-        family=family,
-        samples=args.samples,
-        margin_below=args.margin_below,
-        margin_above=args.margin_above,
-        seed=args.seed,
-        factors_per_coordinate=args.factors,
-        k_cap=args.k_cap,
-    )
+    config = SuiteConfig(family, **{field: getattr(args, dest)
+                                    for dest, field in SUITE_FLAGS.items()})
     # sharpness first: it rejects a radius outside the polydisc before
     # the hold-below suite builds any series
     above = check_sharpness_above(config)
     reports = [above] if args.sharpness_only else [check_holds_below(config), above]
-    echo = _echo_family_args(args, family)
-    echo.update({"samples": args.samples, "seed": args.seed,
-                 "factors": args.factors, "k_cap": args.k_cap,
-                 "margin_below": args.margin_below,
-                 "margin_above": args.margin_above,
-                 "sharpness_only": args.sharpness_only})
+    echo = _echo_family_args(family)
+    echo.update({dest: getattr(config, field) for dest, field in SUITE_FLAGS.items()},
+                sharpness_only=args.sharpness_only)
     payload = {"suites": [_suite_payload(rep) for rep in reports],
                "passed": all(rep.passed for rep in reports)}
     _emit_record("verify", echo, payload)
@@ -348,14 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(cmd, help="run verification suites"
                             + (" (sharpness only)" if sharp else ""))
         _family_flags(p)
-        p.add_argument("--samples", type=int, default=SuiteConfig.samples)
-        p.add_argument("--seed", type=int, default=SuiteConfig.seed)
-        p.add_argument("--factors", type=int, default=SuiteConfig.factors_per_coordinate)
-        p.add_argument("--k-cap", dest="k_cap", type=int, default=SuiteConfig.k_cap)
-        p.add_argument("--margin-below", dest="margin_below", type=float,
-                       default=SuiteConfig.margin_below)
-        p.add_argument("--margin-above", dest="margin_above", type=float,
-                       default=SuiteConfig.margin_above)
+        for dest, field in SUITE_FLAGS.items():
+            default = getattr(SuiteConfig, field)
+            p.add_argument(_flag(dest), type=type(default), default=default)
         if not sharp:
             p.add_argument("--sharpness", dest="sharpness_only", action="store_true",
                            help="run only the sharpness-above suite")

@@ -40,13 +40,13 @@ class NoSignChangeError(ValueError):
     """No bracketing sign change was found on the scanned interval."""
 
 
-def bracketed_bisection(g: Callable[[float], float], lo: float, hi: float,
-                        tol: float = BISECTION_TOL) -> tuple[float, float, float]:
+def bracketed_bisection(g: Callable[[float], float], lo: float,
+                        hi: float) -> tuple[float, float, float]:
     """Root of g on [lo, hi] by bisection; returns (root, lo, hi) with the
     final bracket, of zero width when g is exactly zero at an end or a
     midpoint.  Requires a sign change, tested without multiplying (a product
     can underflow); a NaN at an end or a midpoint has no sign and raises.  At
-    most 60 iterations reach width <= tol."""
+    most 60 iterations reach width <= BISECTION_TOL."""
     glo, ghi = g(lo), g(hi)
     if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):
         raise NoSignChangeError(
@@ -56,7 +56,7 @@ def bracketed_bisection(g: Callable[[float], float], lo: float, hi: float,
     if ghi == 0.0:
         return hi, hi, hi
     for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= tol:
+        if hi - lo <= BISECTION_TOL:
             break
         mid = 0.5 * (lo + hi)
         gm = g(mid)

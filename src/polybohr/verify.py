@@ -83,8 +83,6 @@ class SuiteReport:
     radius_r: float
     eval_radius: float
     cases: tuple[CaseResult, ...]
-    counts: dict[str, int]
-    worst_slack: float
     failures: tuple[CaseResult, ...]
     witness_a: float | None = None
     notes: str = ""
@@ -97,27 +95,15 @@ class SuiteReport:
     def total(self) -> int:
         return len(self.cases)
 
+    @property
+    def counts(self) -> dict[str, int]:
+        """Cases per verdict, every verdict listed."""
+        return {v.value: sum(c.verdict == v.value for c in self.cases) for v in Verdict}
 
-def _make_report(suite: str, family: RadiusFamily, radius_r: float,
-                 eval_radius: float, cases: list[CaseResult],
-                 failing: Callable[[CaseResult], bool],
-                 witness_a: float | None = None, notes: str = "") -> SuiteReport:
-    counts = {v.value: 0 for v in Verdict}
-    for c in cases:
-        counts[c.verdict] += 1
-    slacks = [1.0 - (c.value + c.tail_bound) for c in cases]
-    return SuiteReport(
-        suite=suite,
-        family_label=repr(family),
-        radius_r=radius_r,
-        eval_radius=eval_radius,
-        cases=tuple(cases),
-        counts=counts,
-        worst_slack=min(slacks),
-        failures=tuple(c for c in cases if failing(c)),
-        witness_a=witness_a,
-        notes=notes,
-    )
+    @property
+    def worst_slack(self) -> float:
+        """The least 1 - (value + tail_bound) over the cases."""
+        return min(1.0 - (c.value + c.tail_bound) for c in self.cases)
 
 
 def case_seed(base_seed: int, index: int) -> int:
@@ -154,8 +140,8 @@ def check_holds_below(config: SuiteConfig) -> SuiteReport:
                            config.k_start, config.k_cap)
         cases.append(CaseResult(i, seed_i, rep.verdict.value, rep.value,
                                 rep.tail_bound, K, rep.detail))
-    return _make_report("holds-below", config.family, solved.radius_r, r,
-                        cases, lambda c: c.verdict != Verdict.HOLDS.value)
+    return SuiteReport("holds-below", repr(config.family), solved.radius_r, r, tuple(cases),
+                       tuple(c for c in cases if c.verdict != Verdict.HOLDS.value))
 
 
 def check_sharpness_above(config: SuiteConfig) -> SuiteReport:
@@ -188,8 +174,8 @@ def check_sharpness_above(config: SuiteConfig) -> SuiteReport:
                      for c in cases)
         if capped:
             notes += f"; {capped} of {len(cases)} cases INCONCLUSIVE at the K cap {cap}"
-    return _make_report("sharpness-above", config.family, solved.radius_r, r,
-                        cases, lambda c: witness is None, witness, notes)
+    return SuiteReport("sharpness-above", repr(config.family), solved.radius_r, r, tuple(cases),
+                       tuple(cases) if witness is None else (), witness, notes)
 
 
 def _random_point(rng: Lcg64, n: int, r: float) -> Point:

@@ -78,13 +78,13 @@ RECORDS = [
      ("index", "seed", "verdict", "value", "tail_bound", "k_used", "detail"),
      {"detail": ""}, (1, 42, "HOLDS", 0.5, 1e-12, 16, "d"), CASE_REPR),
     (SuiteReport,
-     ("suite", "family_label", "radius_r", "eval_radius", "cases", "counts",
-      "worst_slack", "failures", "witness_a", "notes"),
+     ("suite", "family_label", "radius_r", "eval_radius", "cases", "failures",
+      "witness_a", "notes"),
      {"witness_a": None, "notes": ""},
-     ("hold-below", "Classical(n=1)", 0.25, 0.5, (CASE,), {"HOLDS": 1}, 0.5, (), 0.9, "n"),
+     ("hold-below", "Classical(n=1)", 0.25, 0.5, (CASE,), (), 0.9, "n"),
      "SuiteReport(suite='hold-below', family_label='Classical(n=1)', "
      f"radius_r=0.25, eval_radius=0.5, cases=({CASE_REPR},), "
-     "counts={'HOLDS': 1}, worst_slack=0.5, failures=(), witness_a=0.9, notes='n')"),
+     "failures=(), witness_a=0.9, notes='n')"),
     (AuditStats, ("pairs", "violations", "checks", "worst_margin"),
      {"worst_margin": math.inf}, (10, 0, {"growth": 10}, 0.125),
      "AuditStats(pairs=10, violations=0, checks={'growth': 10}, worst_margin=0.125)"),
@@ -96,7 +96,7 @@ RECORDS = [
 ]
 
 # records with a dict field, which are unhashable like their field tuples
-UNHASHABLE = {SuiteReport, AuditStats}
+UNHASHABLE = {AuditStats}
 
 each_record = pytest.mark.parametrize(
     "cls,fields,defaults,args,text",
@@ -161,6 +161,19 @@ def test_missing_argument_is_a_type_error(cls, fields, defaults, args, text):
     with pytest.raises(TypeError, match=(rf"{cls.__name__}\.__init__\(\) missing 1 "
                                          rf"required positional argument: '{fields[last]}'")):
         cls(*args[:last])
+
+
+def test_suite_report_summaries_come_from_its_cases():
+    sample = SuiteReport("hold-below", "Classical(n=1)", 0.25, 0.5, (CASE,), ())
+    assert sample.counts == {"HOLDS": 1, "VIOLATED": 0, "INCONCLUSIVE": 0}
+    assert sample.worst_slack == 1 - (0.5 + 1e-12)
+    cases = (CASE, CaseResult(2, 43, "VIOLATED", 1.25, 0.0, 32),
+             CaseResult(3, 44, "INCONCLUSIVE", 0.875, 0.25, 64))
+    report = SuiteReport("hold-below", "Classical(n=1)", 0.25, 0.5, cases,
+                         failures=cases[1:])
+    assert report.counts == {"HOLDS": 1, "VIOLATED": 1, "INCONCLUSIVE": 1}
+    assert report.worst_slack == min(1 - (c.value + c.tail_bound) for c in cases) == -0.25
+    assert (report.total, report.passed) == (3, False)
 
 
 @record
