@@ -32,6 +32,8 @@ from .radii import (
     ConvexMNT,
     NoSignChangeError,
     RadiusFamily,
+    RadiusResult,
+    RmnN,
     limit_sweep_m,
     limit_sweep_N,
     solve,
@@ -41,10 +43,15 @@ from .verify import SuiteConfig, SuiteReport, check_holds_below, check_sharpness
 
 SCHEMA_VERSION = 1
 
-# The flags each table reads besides --format, by parser dest
-TABLE_READS = {"thmC-limits": ("N_max",), "thm2.2-sweepN": ("m", "n", "N_max"),
-               "thm2.2-sweepM": ("n", "N", "m_list"), "thmF-piecewise": ("n", "t_steps"),
-               "thm2.3-grid": ("m", "n", "t_steps")}
+# Each table by --name, in --help order: the family solved at each value of
+# its axis, the axis, the columns after it, and the flags it reads besides
+# --format, by parser dest
+TABLES = {"thmC-limits": (AN, "N", ("limit_x", "residual"), ("N_max",)),
+          "thm2.2-sweepN": (RmnN, "N", ("radius_r", "radius_x", "residual"), ("m", "n", "N_max")),
+          "thm2.2-sweepM": (RmnN, "m", ("radius_r", "radius_x", "limit_x", "gap_x"),
+                            ("n", "N", "m_list")),
+          "thmF-piecewise": (AreaT, "t", ("radius_r", "radius_x", "branch"), ("n", "t_steps")),
+          "thm2.3-grid": (ConvexMNT, "t", ("radius_r", "radius_x", "note"), ("m", "n", "t_steps"))}
 
 # The suite flags of verify and sharpness, by parser dest, in echo order, and
 # the SuiteConfig field each sets; SuiteConfig gives each its default and type
@@ -142,73 +149,62 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
-    name = args.name
-    _take_flags(args, f"table {name!r}", TABLE_READS[name], n=1, m=None, N=None,
-                N_max=10, m_list="1,2,5,20,100", t_steps=20)
+def _sweep(family: type[RadiusFamily], axis: str, values: Sequence[Any],
+           args: argparse.Namespace, columns: Sequence[str]) -> list[tuple]:
+    """The rows (value, *cells) of ``family`` solved at each of ``values`` on
+    ``axis``, its other fields read from ``args``; ``columns`` names the
+    cells.  On the m axis ``limit_x`` is the root of the large-m limit
+    AN(n, N), solved after the sweep; on the N axis of AN it is the row's own
+    root.  Only the ConvexMNT grid writes a missing root as a blank row."""
+    if family is RmnN:
+        results = (limit_sweep_N(args.m, args.n, values) if axis == "N"
+                   else limit_sweep_m(args.n, args.N, values))
+    else:
+        results = []
+        for v in values:
+            member = family(**{k: v if k == axis else getattr(args, k)
+                               for k in family.__match_args__})
+            try:
+                results.append(solve(member))
+            except (NoSignChangeError if family is ConvexMNT else ()) as exc:
+                results.append(RadiusResult(None, "", "", "", ("", ""), f"no root: {exc}"))
+    x = [res.radius_x for res in results]
+    limit = solve(AN(n=args.n, N=args.N)).radius_x if axis == "m" else None
+    # each column is built only when a command shows it
+    cells = {"radius_r": lambda: [res.radius_r for res in results],
+             "radius_x": lambda: x,
+             "residual": lambda: [res.residual for res in results],
+             "note": lambda: [res.multiplicity_note for res in results],
+             "branch": lambda: ["cubic" if t < AreaT.branch_t else "clamped" for t in values],
+             "limit_x": lambda: x if limit is None else [limit] * len(x),
+             "gap_x": lambda: [limit - xi for xi in x]}
+    return list(zip(values, *(cells[c]() for c in columns)))
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    family, axis, columns, reads = TABLES[args.name]
+    # Absent --m and --N default to 1 and are not echoed; a given value, 0
+    # included, is kept for the family to validate.
+    given = {k: getattr(args, k) for k in ("m", "N") if getattr(args, k) is not None}
+    _take_flags(args, f"table {args.name!r}", reads, n=1, m=1, N=1, N_max=10,
+                m_list="1,2,5,20,100", t_steps=20)
     if args.t_steps < 1:
         raise ValueError(f"--t-steps must be >= 1, got {args.t_steps}")
     if args.N_max < 1:
         raise ValueError(f"--N-max must be >= 1, got {args.N_max}")
-    # Absent --m and --N default to 1; a given value, 0 included, is kept
-    # for the family to validate.
-    m = 1 if args.m is None else args.m
-    N = 1 if args.N is None else args.N
-    if name == "thmC-limits":
-        columns = ["N", "limit_x", "residual"]
-        rows = []
-        for N in range(1, args.N_max + 1):
-            res = solve(AN(n=1, N=N))
-            rows.append([N, res.radius_x, res.residual])
-        return columns, rows
-    if name == "thm2.2-sweepN":
-        columns = ["N", "radius_r", "radius_x", "residual"]
-        sweep = limit_sweep_N(m, args.n, list(range(1, args.N_max + 1)))
-        return columns, [[res.family.N, res.radius_r, res.radius_x, res.residual]
-                         for res in sweep]
-    if name == "thm2.2-sweepM":
-        columns = ["m", "radius_r", "radius_x", "limit_x", "gap_x"]
-        target = solve(AN(n=args.n, N=N)).radius_x
-        m_list = _parse_int_list(args.m_list)
-        sweep = limit_sweep_m(args.n, N, m_list)
-        return columns, [[res.family.m, res.radius_r, res.radius_x, target,
-                          target - res.radius_x] for res in sweep]
-    if name == "thmF-piecewise":
-        columns = ["t", "radius_r", "radius_x", "branch"]
-        rows = []
-        steps = args.t_steps
-        for i in range(1, steps + 1):
-            t = i / steps
-            res = solve(AreaT(n=args.n, t=t))
-            branch = "cubic" if t < AreaT.branch_t else "clamped"
-            rows.append([t, res.radius_r, res.radius_x, branch])
-        return columns, rows
-    # thm2.3-grid, the last of TABLE_READS, which --name is restricted to
-    columns = ["t", "radius_r", "radius_x", "note"]
-    rows = []
-    steps = args.t_steps
-    for i in range(steps + 1):
-        t = i / steps
-        try:
-            res = solve(ConvexMNT(m=m, n=args.n, t=t))
-            rows.append([t, res.radius_r, res.radius_x, res.multiplicity_note])
-        except NoSignChangeError as exc:
-            rows.append([t, "", "", f"no root: {exc}"])
-    return columns, rows
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    columns, rows = _table_rows(args)
+    if axis == "m":
+        AN(n=args.n, N=args.N)  # the limit family checks n and N before the m list is read
+    # a t axis starts at t = 0 unless the family rejects it (AreaT)
+    values = (range(1, args.N_max + 1) if axis == "N"
+              else _parse_int_list(args.m_list) if axis == "m"
+              else [i / args.t_steps for i in range(family is AreaT, args.t_steps + 1)])
+    rows = _sweep(family, axis, values, args, columns)
     if args.format == "csv":
-        _emit_csv(columns, rows)
+        _emit_csv((axis, *columns), rows)
     else:
-        echo: dict[str, Any] = {"name": args.name, "n": args.n}
-        for key in ("m", "N"):
-            if getattr(args, key) is not None:
-                echo[key] = getattr(args, key)
-        echo.update({"N_max": args.N_max, "m_list": args.m_list,
-                     "t_steps": args.t_steps})
-        _emit_record("table", echo, {"columns": columns, "rows": rows})
+        echo = {"name": args.name, "n": args.n, **given, "N_max": args.N_max,
+                "m_list": args.m_list, "t_steps": args.t_steps}
+        _emit_record("table", echo, {"columns": [axis, *columns], "rows": rows})
     return 0
 
 
@@ -280,32 +276,25 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_limits(args: argparse.Namespace) -> int:
+    """The thm2.2-sweepN or -sweepM table over the given values, with the
+    rows as objects and the summary keys after them."""
     if (args.N_list is None) == (args.m_list is None):
         raise ValueError("limits needs exactly one of --N-list or --m-list")
     axis = "N" if args.N_list is not None else "m"
     # the N sweep holds m fixed, the m sweep N
     _take_flags(args, f"limits --{axis}-list", ("m",) if axis == "N" else ("N",), m=1, N=1)
-    if axis == "N":
-        values = _parse_int_list(args.N_list)
-        sweep = limit_sweep_N(args.m, args.n, values)
-        target = None
-    else:
-        values = _parse_int_list(args.m_list)
-        sweep = limit_sweep_m(args.n, args.N, values)
-        target = solve(AN(n=args.n, N=args.N)).radius_x
-    rows = [{axis: v, "radius_r": res.radius_r, "radius_x": res.radius_x,
-             "residual": res.residual}
-            for v, res in zip(values, sweep)]
+    values = _parse_int_list(args.N_list if axis == "N" else args.m_list)
+    columns = ("radius_r", "radius_x", "residual") + (("limit_x", "gap_x") if axis == "m" else ())
+    # each row is (value, radius_r, radius_x, residual[, limit_x, gap_x])
+    rows = _sweep(RmnN, axis, values, args, columns)
     payload: dict[str, Any] = {
         "axis": axis,
-        "rows": rows,
-        "strictly_increasing": all(
-            sweep[i].radius_x < sweep[i + 1].radius_x for i in range(len(sweep) - 1)),
-        "last_radius_x": sweep[-1].radius_x,
+        "rows": [dict(zip((axis, *columns), row[:4])) for row in rows],
+        "strictly_increasing": all(a[2] < b[2] for a, b in zip(rows, rows[1:])),
+        "last_radius_x": rows[-1][2],
     }
-    if target is not None:
-        payload["limit_x"] = target
-        payload["final_gap_x"] = target - sweep[-1].radius_x
+    if axis == "m":
+        payload["limit_x"], payload["final_gap_x"] = rows[-1][4:]
     echo = {"m": args.m, "n": args.n, "N": args.N,
             "N_list": args.N_list, "m_list": args.m_list}
     _emit_record("limits", echo, payload)
@@ -325,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.set_defaults(run=cmd_radius, parser=p_radius)
 
     p_table = subs.add_parser("table", help="emit a named reproduction table")
-    p_table.add_argument("--name", required=True, choices=tuple(TABLE_READS),
+    p_table.add_argument("--name", required=True, choices=tuple(TABLES),
                          help="which table to reproduce")
     p_table.add_argument("--n", type=int, default=None)
     p_table.add_argument("--m", type=int, default=None)

@@ -258,6 +258,43 @@ class TestLimitsCommand:
         assert run_cli("limits", "--N-list", "1,2", "--m-list", "1,2").returncode == 2
 
 
+class TestLimitsIsTheSweepTable:
+    """``limits`` runs the thm2.2-sweepN or -sweepM table over the values it
+    is given: every shared cell keeps its bits."""
+
+    @staticmethod
+    def payload(argv):
+        code, out, err = main_in_process(argv)
+        assert (code, err) == (0, "")
+        return json.loads(out)["payload"]
+
+    @staticmethod
+    def hexed(rows):
+        return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
+
+    @pytest.mark.parametrize("m,n,K", [(1, 1, 6), (2, 2, 5), (3, 3, 9)])
+    def test_n_sweep_rows_are_the_table_rows(self, m, n, K):
+        N_list = ",".join(str(N) for N in range(1, K + 1))
+        limits = self.payload(["limits", "--m", str(m), "--n", str(n), "--N-list", N_list])
+        table = self.payload(["table", "--name", "thm2.2-sweepN", "--m", str(m), "--n", str(n),
+                              "--N-max", str(K), "--format", "json"])
+        assert [list(row) for row in limits["rows"]] == [table["columns"]] * K
+        assert self.hexed(row.values() for row in limits["rows"]) == self.hexed(table["rows"])
+
+    @pytest.mark.parametrize("n,N,m_list", [(1, 1, "1,2,5,20,100"), (2, 3, "1,3,10"),
+                                            (3, 2, "2,7")])
+    def test_m_sweep_rows_and_limit_are_the_table_rows(self, n, N, m_list):
+        limits = self.payload(["limits", "--n", str(n), "--N", str(N), "--m-list", m_list])
+        table = self.payload(["table", "--name", "thm2.2-sweepM", "--n", str(n), "--N", str(N),
+                              "--m-list", m_list, "--format", "json"])
+        shared = ["m", "radius_r", "radius_x"]
+        assert table["columns"][:3] == shared
+        assert (self.hexed([row[k] for k in shared] for row in limits["rows"])
+                == self.hexed(row[:3] for row in table["rows"]))
+        assert {row[3].hex() for row in table["rows"]} == {limits["limit_x"].hex()}
+        assert table["rows"][-1][4].hex() == limits["final_gap_x"].hex()
+
+
 class TestFamilyRegistry:
     FLAGS = {"n": "--n", "m": "--m", "N": "--N", "p": "--p", "t": "--t",
              "lam": "--lambda"}
